@@ -9,7 +9,7 @@ Run `susyqm check` (or `python -m susyqm.cli check`) for the built-in
 invariant suite.
 """
 
-__version__ = "1.0.0"
+__version__ = "0.1.0"
 
 from .catalog import (
     CATALOG_NAMES,

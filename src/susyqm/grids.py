@@ -1,8 +1,8 @@
-"""Uniform grids, sampled functions, quadrature, derivatives and root bracketing.
+"""Uniform grids, sampled functions, quadrature, derivatives and node counting.
 
 Everything here is deliberately plain: uniform grids only, composite Simpson
-quadrature, 4th-order central finite differences, and bisection. These are the
-shared numerical primitives the rest of the toolkit builds on.
+quadrature and 4th-order central finite differences. These are the shared
+numerical primitives the rest of the toolkit builds on.
 """
 
 from __future__ import annotations
@@ -15,10 +15,6 @@ from scipy.integrate import cumulative_simpson
 
 class GridError(ValueError):
     """Invalid grid or sampled-function construction."""
-
-
-class BracketError(ValueError):
-    """Root bracket does not actually bracket a sign change."""
 
 
 @dataclass(frozen=True)
@@ -87,24 +83,6 @@ def sample(fn, grid: Grid) -> SampledFunction:
     return SampledFunction(grid, np.asarray(fn(grid.points), dtype=float))
 
 
-@dataclass(frozen=True)
-class Bracket:
-    """Sign-change interval for root finding: f(lo) and f(hi) have opposite signs."""
-
-    lo: float
-    hi: float
-    f_lo: float
-    f_hi: float
-
-    def __post_init__(self):
-        if not self.lo < self.hi:
-            raise BracketError(f"need lo < hi, got [{self.lo}, {self.hi}]")
-        if self.f_lo * self.f_hi > 0:
-            raise BracketError(
-                f"no sign change: f({self.lo})={self.f_lo}, f({self.hi})={self.f_hi}"
-            )
-
-
 def simpson_weights(n: int, h: float) -> np.ndarray:
     """Composite Simpson weights; even point counts get a trapezoid tail."""
     if n < 3:
@@ -157,39 +135,6 @@ def second_derivative(f: SampledFunction) -> SampledFunction:
     d[0] = d[1]
     d[-1] = d[-2]
     return SampledFunction(f.grid, d)
-
-
-def bisect_root(f, bracket: Bracket, tol: float = 1e-12) -> float:
-    """Deterministic bisection down to bracket width <= tol."""
-    lo, hi, f_lo = bracket.lo, bracket.hi, bracket.f_lo
-    if f_lo == 0.0:
-        return lo
-    if bracket.f_hi == 0.0:
-        return hi
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        f_mid = f(mid)
-        if not np.isfinite(f_mid):
-            raise BracketError(f"f({mid}) is not finite during bisection")
-        if f_mid == 0.0:
-            return mid
-        if f_lo * f_mid < 0:
-            hi = mid
-        else:
-            lo, f_lo = mid, f_mid
-    return 0.5 * (lo + hi)
-
-
-def find_bracket(f, lo: float, hi: float, n_scan: int = 256) -> Bracket:
-    """Scan [lo, hi] for the first sign change of f and return it as a Bracket."""
-    xs = np.linspace(lo, hi, n_scan + 1)
-    prev_x, prev_f = xs[0], f(xs[0])
-    for x in xs[1:]:
-        fx = f(x)
-        if prev_f * fx <= 0:
-            return Bracket(prev_x, x, prev_f, fx)
-        prev_x, prev_f = x, fx
-    raise BracketError(f"no sign change of f on [{lo}, {hi}]")
 
 
 def count_nodes(values: np.ndarray, rel_floor: float = 1e-8) -> int:

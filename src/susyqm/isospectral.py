@@ -152,12 +152,6 @@ class IsoFamily:
         return SampledFunction(self.grid, vals / math.sqrt(norm))
 
 
-def cumulative_norm(psi0: SampledFunction) -> SampledFunction:
-    """I(x) = int_{x_min}^x psi0^2, clipped into [0, 1] against roundoff."""
-    cum = cumulative_integral(psi0.map(lambda v: v**2))
-    return SampledFunction(psi0.grid, np.clip(cum.values, 0.0, 1.0))
-
-
 def deformed_family(
     w: Superpotential, grid: Grid, lams: list[float]
 ) -> tuple[IsoFamily, list[SampledFunction]]:

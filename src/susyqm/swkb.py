@@ -8,7 +8,8 @@ is monotone in E and the quantization targets are
     SWKB V2:  S = (n + 1) pi hbar.
 The inverse-square-root endpoint singularity is removed by the substitution
 x = mid + halfwidth * sin(theta), after which Gauss-Legendre quadrature
-converges spectrally. SWKB reproduces the exact spectrum for every
+converges spectrally. The turning points and the level energy are both
+found with Brent's method. SWKB reproduces the exact spectrum for every
 shape-invariant entry; ordinary WKB is exact only for the oscillator and
 Morse wells.
 """
@@ -18,14 +19,18 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Optional
+from functools import cached_property, lru_cache
+from typing import Callable
 
 import numpy as np
-from scipy.optimize import minimize_scalar
+from scipy.optimize import brentq, minimize_scalar
 
-from .catalog import SipEntry, numeric_grid
-from .core import Superpotential
-from .grids import Bracket, bisect_root, find_bracket
+from .catalog import SipEntry, numeric_grid, sip_spectrum
+
+# intervals in the uniform scan of the window that locates turning points
+_N_SCAN = 4000
+# Gauss-Legendre nodes of the action integral
+_N_QUAD = 256
 
 
 class QuantizeError(ValueError):
@@ -57,6 +62,12 @@ class QuantizationProblem:
         u = np.asarray(self.profile(np.asarray(x, dtype=float)), dtype=float)
         return u if self.mode is Mode.WKB else u**2
 
+    @cached_property
+    def scan(self) -> tuple[np.ndarray, np.ndarray]:
+        """The window's uniform scan nodes and the well sampled on them."""
+        xs = np.linspace(*self.window, _N_SCAN + 1)
+        return xs, self.well(xs)
+
     def target(self, n: int) -> float:
         if n < 0:
             raise QuantizeError("level index must be non-negative")
@@ -64,46 +75,57 @@ class QuantizationProblem:
         return (n + offset) * math.pi * self.hbar
 
 
-def turning_points(
-    problem: QuantizationProblem, energy: float, n_scan: int = 4000
-) -> tuple[float, float]:
-    """The two roots of E - U(x) on the window, bisected to 1e-12."""
-    lo, hi = problem.window
-    xs = np.linspace(lo, hi, n_scan + 1)
-    f = energy - problem.well(xs)
-    s = np.sign(f)
-    roots = []
-    for i in range(n_scan):
-        if s[i] == 0.0:
-            roots.append(xs[i])  # root exactly on a scan node
-        elif s[i] * s[i + 1] < 0:
-            br = Bracket(xs[i], xs[i + 1], f[i], f[i + 1])
-            roots.append(bisect_root(lambda x: energy - problem.well(x), br, tol=1e-13))
-    if s[-1] == 0.0:
-        roots.append(xs[-1])
-    if len(roots) != 2:
+@lru_cache(maxsize=None)
+def _sine_gauss_rule(n_quad: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes sin(theta_i) and folded weights (pi/2) w_i cos(theta_i).
+
+    (theta_i, w_i) is the n_quad-point Gauss-Legendre rule mapped onto
+    [-pi/2, pi/2]. With x = sin(theta), int_{-1}^{1} f(x) dx is approximated
+    by weights @ f(nodes), which converges spectrally for an f that vanishes
+    like a square root at both ends. Every caller shares the arrays, so they
+    are read-only.
+    """
+    t, w = np.polynomial.legendre.leggauss(n_quad)
+    theta = 0.5 * math.pi * t
+    nodes, weights = np.sin(theta), 0.5 * math.pi * w * np.cos(theta)
+    nodes.setflags(write=False)
+    weights.setflags(write=False)
+    return nodes, weights
+
+
+def turning_points(problem: QuantizationProblem, energy: float) -> tuple[float, float]:
+    """The two roots of E - U(x) on the window, refined by Brent's method to 1e-14."""
+    xs, u = problem.scan
+    s = np.sign(energy - u)
+    on_node = np.flatnonzero(s == 0.0)
+    flips = np.flatnonzero(s[:-1] * s[1:] < 0)
+    found = on_node.size + flips.size
+    if found != 2:
         raise QuantizeError(
-            f"expected exactly 2 turning points at E={energy}, found {len(roots)}"
+            f"expected exactly 2 turning points at E={energy}, found {found}"
         )
-    return roots[0], roots[1]
+
+    def gap(x):
+        return energy - float(problem.well(x))
+
+    # a root on node i precedes the crossing in (x_i, x_i+1)
+    order = np.argsort(np.concatenate([on_node, flips + 0.5]))
+    roots = [xs[i] for i in on_node]
+    roots += [brentq(gap, xs[i], xs[i + 1], xtol=1e-14) for i in flips]
+    a, b = (float(roots[k]) for k in order)
+    return a, b
 
 
-def action_integral(
-    problem: QuantizationProblem, energy: float, n_quad: int = 256
-) -> float:
+def action_integral(problem: QuantizationProblem, energy: float) -> float:
     """S(E) = int_a^b sqrt(2m (E - U)) dx with singularity-free quadrature."""
-    well_min = float(np.min(problem.well(np.linspace(*problem.window, 4001))))
+    well_min = float(problem.scan[1].min())
     if energy <= well_min + 1e-14 * max(1.0, abs(well_min)):
         return 0.0
     a, b = turning_points(problem, energy)
     mid, halfw = 0.5 * (a + b), 0.5 * (b - a)
-    theta, wts = np.polynomial.legendre.leggauss(n_quad)
-    theta = 0.5 * math.pi * theta
-    wts = 0.5 * math.pi * wts
-    x = mid + halfw * np.sin(theta)
-    integrand = problem.mass2 * (energy - problem.well(x))
-    integrand = np.sqrt(np.maximum(integrand, 0.0)) * halfw * np.cos(theta)
-    return float(wts @ integrand)
+    nodes, weights = _sine_gauss_rule(_N_QUAD)
+    integrand = problem.mass2 * (energy - problem.well(mid + halfw * nodes))
+    return halfw * float(weights @ np.sqrt(np.maximum(integrand, 0.0)))
 
 
 def boundary_phase(problem: QuantizationProblem, energy: float) -> float:
@@ -122,20 +144,14 @@ def boundary_phase(problem: QuantizationProblem, energy: float) -> float:
     return 0.5 * problem.hbar * (math.asin(clip(wb)) - math.asin(clip(wa)))
 
 
-def quantize(
-    problem: QuantizationProblem,
-    n: int,
-    e_hint: Optional[tuple[float, float]] = None,
-    tol: float = 1e-10,
-) -> float:
-    """Energy of level n: root of S(E) = target by bisection in E.
+def quantize(problem: QuantizationProblem, n: int) -> float:
+    """Energy of level n: root of S(E) = target by Brent's method in E, to 1e-13.
 
-    e_hint optionally brackets the level; otherwise the bracket grows
-    geometrically from just above the well minimum.
+    The bracket starts at the well minimum, where S = 0, and its upper end
+    grows geometrically until S reaches the target.
     """
     target = problem.target(n)
-    xs = np.linspace(*problem.window, 4001)
-    wvals = problem.well(xs)
+    xs, wvals = problem.scan
     well_min = float(np.min(wvals))
     edge = float(min(wvals[0], wvals[-1]))
     if target == 0.0:
@@ -151,21 +167,17 @@ def quantize(
         )
         return min(well_min, float(res.fun))
 
+    @lru_cache(maxsize=None)  # Brent re-evaluates the bracket end the growth loop just tried
     def f(e):
         return action_integral(problem, e) - target
 
-    if e_hint is not None:
-        lo, hi = e_hint
-    else:
-        lo = well_min
-        cap = edge - 1e-9 * max(1.0, abs(edge))
-        hi = min(well_min + max(1.0, abs(well_min)), cap)
-        while f(hi) < 0:
-            if hi >= cap:
-                raise QuantizeError(f"level n={n} lies above the continuum edge {edge}")
-            hi = min(well_min + 2.0 * (hi - well_min), cap)
-    br = Bracket(lo, hi, f(lo) if lo > well_min else -target, f(hi))
-    return bisect_root(f, br, tol=tol)
+    cap = edge - 1e-9 * max(1.0, abs(edge))
+    hi = min(well_min + max(1.0, abs(well_min)), cap)
+    while f(hi) < 0:
+        if hi >= cap:
+            raise QuantizeError(f"level n={n} lies above the continuum edge {edge}")
+        hi = min(well_min + 2.0 * (hi - well_min), cap)
+    return brentq(f, well_min, hi, xtol=1e-13)
 
 
 @dataclass(frozen=True)
@@ -205,18 +217,12 @@ def exactness_audit(
     entries: list[SipEntry], n_max: int = 5, include_wkb: bool = True
 ) -> list[AuditRow]:
     """Per-entry, per-level comparison of SWKB (and WKB where sensible) to E_n."""
-    from .catalog import sip_spectrum
-
     rows = []
     for entry in entries:
         spec, _ = sip_spectrum(entry, n_max)
         prob = problem_for_entry(entry, Mode.SWKB_V1)
-        prev = 0.0
         for n, e_exact in enumerate(spec):
-            hint = None if n == 0 else (prev + 1e-12, 2.0 * e_exact - prev + 1.0)
-            e = quantize(prob, n, e_hint=None)
-            rows.append(AuditRow(entry.name, "swkb", n, e_exact, e))
-            prev = e
+            rows.append(AuditRow(entry.name, "swkb", n, e_exact, quantize(prob, n)))
         if include_wkb and entry.name in WKB_APPLICABLE:
             prob_w = problem_for_entry(entry, Mode.WKB)
             for n, e_exact in enumerate(spec):

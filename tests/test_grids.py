@@ -4,15 +4,12 @@ import numpy as np
 import pytest
 
 from susyqm.grids import (
-    Bracket,
     Grid,
     GridError,
     SampledFunction,
-    bisect_root,
     count_nodes,
     cumulative_integral,
     derivative,
-    find_bracket,
     integrate,
     sample,
     second_derivative,
@@ -73,17 +70,6 @@ def test_second_derivative():
     f = sample(np.sin, g)
     err = np.max(np.abs(second_derivative(f).values[3:-3] + np.sin(g.points[3:-3])))
     assert err < 1e-5
-
-
-def test_bisect_root_and_bracket():
-    b = find_bracket(lambda x: x**2 - 2.0, 0.0, 2.0)
-    root = bisect_root(lambda x: x**2 - 2.0, b)
-    assert root == pytest.approx(math.sqrt(2.0), abs=1e-10)
-
-
-def test_bracket_requires_sign_change():
-    with pytest.raises(ValueError):
-        Bracket(0.0, 1.0, 1.0, 2.0)
 
 
 def test_count_nodes_ignores_noise():

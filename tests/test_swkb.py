@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from susyqm.catalog import sip_lookup, sip_spectrum
+from susyqm.catalog import CATALOG_NAMES, sip_lookup, sip_spectrum
 from susyqm.swkb import (
     Mode,
     QuantizationProblem,
@@ -28,6 +28,25 @@ def test_turning_points_symmetric():
     a, b = turning_points(osc_problem(), 4.0)
     assert a == pytest.approx(-2.0, abs=1e-10)
     assert b == pytest.approx(2.0, abs=1e-10)
+
+
+def test_turning_point_on_a_scan_node_counted_once():
+    # h = 31.25 / 4000 = 1/128, so x = -1 and x = 1 are scan nodes where W^2 = E exactly
+    prob = QuantizationProblem(
+        mode=Mode.SWKB_V1, profile=lambda x: np.asarray(x, float), window=(-15.625, 15.625)
+    )
+    xs, _ = prob.scan
+    assert xs[1872] == -1.0 and xs[2128] == 1.0
+    assert turning_points(prob, 1.0) == (-1.0, 1.0)
+
+
+def test_four_crossings_raise():
+    # double well (x^2 - 1)^2 below its barrier top: four roots of E - V
+    prob = QuantizationProblem(
+        mode=Mode.WKB, profile=lambda x: (np.asarray(x, float) ** 2 - 1.0) ** 2, window=(-3.0, 3.0)
+    )
+    with pytest.raises(QuantizeError, match="found 4"):
+        turning_points(prob, 0.5)
 
 
 def test_action_integral_closed_form():
@@ -95,6 +114,14 @@ def test_exactness_audit_rows():
     swkb_rows = [r for r in rows if r.mode == "swkb"]
     assert len(swkb_rows) == 3
     assert all(r.exact for r in swkb_rows)
+
+
+def test_audit_rows_exact_to_roundoff():
+    # much tighter than the 1e-7 gate of AuditRow.exact
+    rows = exactness_audit([sip_lookup(n) for n in CATALOG_NAMES], n_max=5)
+    assert {r.mode for r in rows} == {"swkb", "wkb"}
+    for r in rows:
+        assert r.error <= 1e-12 * max(1.0, abs(r.e_exact)), (r.entry, r.mode, r.n, r.error)
 
 
 def test_level_above_continuum_raises():
