@@ -3,8 +3,9 @@
 Core objects: superpotentials and their partner pairs, ladder operators, a
 catalog of algebraically solvable wells with parameter-shift recursions,
 tridiagonal bound-state and Bloch band solvers, reflection/transmission
-recursions, one-parameter isospectral deformations, semiclassical
-quantization with exactness audits, and elliptic periodic wells.
+recursions checked by an RK4 transfer-matrix propagator, one-parameter
+isospectral deformations, semiclassical quantization with exactness audits,
+and elliptic periodic wells.
 Run `susyqm check` (or `python -m susyqm.cli check`) for the built-in
 invariant suite.
 """
@@ -68,6 +69,7 @@ from .scattering import (
     ScatterError,
     numeric_rt,
     partner_rt,
+    propagate,
     reflectionless_T,
 )
 from .swkb import Mode, QuantizationProblem, QuantizeError, exactness_audit, quantize
@@ -126,6 +128,7 @@ __all__ = [
     "numeric_rt",
     "partner_potentials",
     "partner_rt",
+    "propagate",
     "pursey_abraham_moses",
     "quantize",
     "reflectionless_T",

@@ -143,6 +143,10 @@ def _emit(cfg: RunConfig, columns: list[str], rows: list[list[float]], diagnosti
 
 def _lookup(cfg: RunConfig):
     """sip_lookup with name/parameter mistakes reported as configuration errors."""
+    if cfg.hbar != 1.0 or cfg.mass2 != 1.0:
+        raise ConfigError(
+            "--hbar and --mass2 apply to --w-expr only; catalog potentials use hbar = 2m = 1"
+        )
     try:
         return sip_lookup(cfg.potential, **cfg.params)
     except TypeError as exc:
@@ -243,12 +247,14 @@ def _cmd_scatter(cfg: RunConfig) -> int:
         )
     ks = _parse_floats(cfg.extra.get("k") or "0.5,1,2", "--k")
     side = int(cfg.extra.get("side") or 1)
-    rows = []
+    steps = int(cfg.extra.get("steps", 8000))
+    if steps < 1:
+        raise ConfigError(f"--steps must be a positive integer, got {steps}")
+    rows, flux_defect = [], []
     for k in ks:
         energy = (w.c * k) ** 2 + float(w.w_minus) ** 2
-        amp = numeric_rt_for(
-            w, side, energy, grid.x_min, grid.x_max, n_steps=int(cfg.extra.get("steps") or 8000)
-        )
+        amp = numeric_rt_for(w, side, energy, grid.x_min, grid.x_max, n_steps=steps)
+        flux_defect.append(amp.flux_defect)
         rows.append(
             [
                 k,
@@ -265,7 +271,7 @@ def _cmd_scatter(cfg: RunConfig) -> int:
         cfg,
         ["k", "energy", "re_r", "im_r", "re_t", "im_t", "prob_r", "prob_t"],
         rows,
-        {"window": [grid.x_min, grid.x_max], "side": side},
+        {"window": [grid.x_min, grid.x_max], "side": side, "flux_defect": flux_defect},
     )
     return 0
 

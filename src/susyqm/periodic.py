@@ -20,6 +20,7 @@ import numpy as np
 
 from .eigensolver import EigenPair, band_solve
 from .grids import Grid, SampledFunction, integrate, sample
+from .scattering import propagate
 from .special import elliptic_K, jacobi_sn_cn_dn
 
 
@@ -299,21 +300,8 @@ def band_edge_states(
 def hill_discriminant(
     v: Callable, period: float, energy: float, n_steps: int = 4000
 ) -> float:
-    """Trace of the one-period transfer matrix; |D| <= 2 inside allowed bands."""
-    h = period / n_steps
+    """Hill discriminant D(E): the trace of the one-period RK4 transfer matrix.
 
-    def rhs(x, y):
-        return np.array([y[1], (v(x) - energy) * y[0]])
-
-    cols = []
-    for y0 in (np.array([1.0, 0.0]), np.array([0.0, 1.0])):
-        y, x = y0.astype(float), 0.0
-        for _ in range(n_steps):
-            k1 = rhs(x, y)
-            k2 = rhs(x + 0.5 * h, y + 0.5 * h * k1)
-            k3 = rhs(x + 0.5 * h, y + 0.5 * h * k2)
-            k4 = rhs(x + h, y + h * k3)
-            y = y + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-            x += h
-        cols.append(y)
-    return float(cols[0][0] + cols[1][1])
+    |D| <= 2 inside allowed bands. The matrix comes from scattering.propagate.
+    """
+    return float(np.trace(propagate(v, 0.0, period, [energy], n_steps)[0]))

@@ -8,6 +8,11 @@ amplitudes are related by pure phase factors:
 with k = sqrt(E - W-^2), k' = sqrt(E - W+^2). Repeated use along a chain
 ending at the free particle produces closed-form amplitudes, e.g. the
 reflectionless sech^2 family.
+
+The numeric oracle for these closed forms is one RK4 transfer-matrix
+propagator, propagate(), batched over energies: numeric_rt reads r and t
+from its matrix over the scattering window, and the Hill discriminant of
+periodic.hill_discriminant is the trace of its matrix over one period.
 """
 
 from __future__ import annotations
@@ -106,6 +111,55 @@ def reflectionless_T(p: int, k: float) -> complex:
     return t
 
 
+_BLOCK = 2048  # RK4 steps per sampling block and product tree
+
+
+def propagate(
+    v, x0: float, x1: float, energies, n_steps: int, c2: float = 1.0
+) -> np.ndarray:
+    """Fundamental matrices of psi'' = q psi, q = (V - E)/c2, one per energy (RK4).
+
+    Returns the real array Phi of shape (len(energies), 2, 2) that maps
+    (psi, psi') at x0 to (psi, psi') at x1, integrated with n_steps classical
+    RK4 steps of s = (x1 - x0)/n_steps (negative when x1 < x0). For this
+    linear system one RK4 step is the matrix
+        [[1 + s^2/6 (qa + 2qm + s^2/4 qa qm),        s (1 + s^2/6 qm)],
+         [s/6 (qa + 4qm + qb + s^2/2 qm (qa + qb)),  1 + s^2/6 (2qm + qb + s^2/4 qb qm)]]
+    with qa, qm, qb the values of q at the start, midpoint and end of the step.
+    The steps are taken in blocks of _BLOCK: V is sampled once on each
+    block's step and half-step nodes, and the block's step matrices are
+    reduced by a pairwise product tree, so the working set stays bounded.
+    v must accept an array of positions; a scalar result is broadcast.
+    """
+    if n_steps < 1:
+        raise ScatterError(f"n_steps must be a positive integer, got {n_steps}")
+    e = np.atleast_1d(np.asarray(energies, dtype=float))[:, None]
+    s = (x1 - x0) / n_steps
+    s2 = s * s
+    eye = np.broadcast_to(np.eye(2), (e.shape[0], 1, 2, 2))
+    phi = eye[:, 0].copy()
+    for first in range(0, n_steps, _BLOCK):
+        nb = min(_BLOCK, n_steps - first)
+        x = x0 + s * (first + 0.5 * np.arange(2 * nb + 1))
+        vx = np.broadcast_to(np.asarray(v(x), dtype=float), x.shape)
+        bad = np.flatnonzero(~np.isfinite(vx))
+        if bad.size:
+            raise ScatterError(f"potential is not finite at x = {x[bad[0]]:.9g}")
+        q = (vx - e) / c2
+        qa, qm, qb = q[:, 0:-1:2], q[:, 1::2], q[:, 2::2]
+        m = np.empty((e.shape[0], nb, 2, 2))
+        m[..., 0, 0] = 1.0 + s2 / 6.0 * (qa + 2.0 * qm + s2 / 4.0 * qa * qm)
+        m[..., 0, 1] = s * (1.0 + s2 / 6.0 * qm)
+        m[..., 1, 0] = s / 6.0 * (qa + 4.0 * qm + qb + s2 / 2.0 * qm * (qa + qb))
+        m[..., 1, 1] = 1.0 + s2 / 6.0 * (2.0 * qm + qb + s2 / 4.0 * qb * qm)
+        while m.shape[1] > 1:
+            if m.shape[1] % 2:
+                m = np.concatenate([m, eye], axis=1)
+            m = m[:, 1::2] @ m[:, 0::2]
+        phi = m[:, 0] @ phi
+    return phi
+
+
 def numeric_rt(
     v_callable,
     energy: float,
@@ -117,11 +171,11 @@ def numeric_rt(
     hbar: float = 1.0,
     mass2: float = 1.0,
 ) -> ScatterAmplitudes:
-    """Direct amplitudes by integrating the wave equation right-to-left (RK4).
+    """Direct amplitudes from the RK4 transfer matrix of the window.
 
-    Starts from a pure transmitted wave t e^{ik'x} at x_right and matches onto
-    e^{ikx} + r e^{-ikx} at x_left. v_left / v_right default to the sampled
-    potential at the window edges.
+    Propagates a pure transmitted wave t e^{ik'x} from x_right to x_left with
+    propagate() and matches it onto e^{ikx} + r e^{-ikx} there. v_left /
+    v_right default to the sampled potential at the window edges.
     """
     c2 = hbar**2 / mass2
     if v_left is None:
@@ -133,30 +187,16 @@ def numeric_rt(
     k = math.sqrt((energy - v_left) / c2)
     kp = math.sqrt((energy - v_right) / c2)
 
-    h = (x_right - x_left) / n_steps
-
-    def rhs(x, y):
-        psi, dpsi = y
-        return np.array([dpsi, (v_callable(x) - energy) / c2 * psi], dtype=complex)
-
-    y = np.array([cmath.exp(1j * kp * x_right), 1j * kp * cmath.exp(1j * kp * x_right)])
-    x = x_right
-    for _ in range(n_steps):
-        k1 = rhs(x, y)
-        k2 = rhs(x - 0.5 * h, y - 0.5 * h * k1)
-        k3 = rhs(x - 0.5 * h, y - 0.5 * h * k2)
-        k4 = rhs(x - h, y - h * k3)
-        y = y - (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        x -= h
-
-    psi, dpsi = y
+    phi = propagate(v_callable, x_right, x_left, [energy], n_steps, c2)[0]
+    out = cmath.exp(1j * kp * x_right)
+    psi, dpsi = phi @ np.array([out, 1j * kp * out])
     # psi = a e^{ikx} + b e^{-ikx} at x_left; incoming flux normalized to a = 1
     e_plus = cmath.exp(1j * k * x_left)
     e_minus = cmath.exp(-1j * k * x_left)
     a = (dpsi + 1j * k * psi) / (2j * k * e_plus)
     b = -(dpsi - 1j * k * psi) / (2j * k * e_minus)
-    r = b / a
-    t = 1.0 / a
+    r = complex(b / a)
+    t = complex(1.0 / a)
     return ScatterAmplitudes(energy=energy, k_in=k, k_out=kp, r=r, t=t)
 
 

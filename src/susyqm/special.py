@@ -8,6 +8,7 @@ modulus parameter m in [0, 1]. erfc delegates to the C library implementation.
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 
 import numpy as np
 
@@ -40,6 +41,7 @@ def elliptic_K(m: float) -> float:
 
 
 _MAX_LANDEN = 64
+_EPS = float(np.finfo(float).eps)
 
 
 def jacobi_sn_cn_dn(x, m: float):
@@ -64,23 +66,31 @@ def jacobi_sn_cn_dn(x, m: float):
     return sn, cn, dn
 
 
-def _jacobi_agm(x: np.ndarray, m: float):
-    a = [1.0]
-    b = [math.sqrt(1.0 - m)]
-    c = [math.sqrt(m)]
-    while abs(c[-1]) > 1e-17 and len(a) < _MAX_LANDEN:
-        an, bn, cn_ = 0.5 * (a[-1] + b[-1]), math.sqrt(a[-1] * b[-1]), 0.5 * (a[-1] - b[-1])
+@lru_cache(maxsize=64)
+def _landen(m: float) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """Descending Landen (AGM) sequences (a_0..a_n, c_0..c_n) for 0 < m < 1.
+
+    The descent stops once |c_n| <= eps * a_n, where later terms vanish to
+    working precision; an absolute stop never triggers for many m, because
+    a_n - b_n settles at one ulp of a_n rather than at zero.
+    """
+    a, b, c = [1.0], math.sqrt(1.0 - m), [math.sqrt(m)]
+    while abs(c[-1]) > _EPS * a[-1] and len(a) < _MAX_LANDEN:
+        an, b, cn_ = 0.5 * (a[-1] + b), math.sqrt(a[-1] * b), 0.5 * (a[-1] - b)
         a.append(an)
-        b.append(bn)
         c.append(cn_)
+    return tuple(a), tuple(c)
+
+
+def _jacobi_agm(x: np.ndarray, m: float):
+    a, c = _landen(m)
     n = len(a) - 1
     phi = (2.0**n) * a[n] * x
-    phi_prev = phi
     for k in range(n, 0, -1):
-        phi_prev = phi
         phi = 0.5 * (phi + np.arcsin(np.clip(c[k] / a[k] * np.sin(phi), -1.0, 1.0)))
     sn = np.sin(phi)
     cn = np.cos(phi)
-    # dn from the amplitude pair; cos(phi_prev - phi) stays away from 0 for m < 1
-    dn = cn / np.cos(phi_prev - phi)
+    # dn^2 = (1 - m) + m cn^2 adds two non-negative terms, so dn keeps full
+    # precision where cn vanishes
+    dn = np.sqrt((1.0 - m) + m * cn * cn)
     return sn, cn, dn

@@ -76,6 +76,35 @@ def test_scatter_reflectionless(capsys):
     assert pt == pytest.approx(1.0, abs=1e-8)
 
 
+def test_scatter_reports_flux_defect_per_k(capsys):
+    code, out = run(capsys, "scatter", "--potential", "sech2", "--params", "B=1", "--format", "json")
+    assert code == 0
+    env = json.loads(out)
+    defects = env["diagnostics"]["flux_defect"]
+    assert len(defects) == len(env["outputs"]["rows"]) == 3
+    assert all(0.0 <= d < 1e-8 for d in defects)
+
+
+def test_scatter_units_rejected_for_catalog_potential(capsys):
+    for flag in ("--hbar", "--mass2"):
+        code = main(["scatter", "--potential", "sech2", flag, "2"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "--w-expr only" in err and len(err.strip().splitlines()) == 1
+
+
+def test_scatter_non_finite_potential_is_a_numeric_failure(capsys):
+    code = main(["scatter", "--w-expr", "tanh(x) + 0*sqrt(x^2 - 1)", "--grid=-5,5,101", "--k", "1"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "not finite at x" in err
+
+
+def test_scatter_steps_must_be_positive(capsys):
+    assert main(["scatter", "--potential", "sech2", "--steps", "0"]) == 2
+    assert "--steps" in capsys.readouterr().err
+
+
 def test_swkb_table(capsys):
     code, out = run(capsys, "swkb", "--potential", "shifted_oscillator", "--levels", "3")
     assert code == 0

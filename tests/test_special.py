@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 from scipy import special as sps
 
-from susyqm.special import DomainError, elliptic_K, erfc, jacobi_sn_cn_dn
+from susyqm.special import DomainError, _landen, elliptic_K, erfc, jacobi_sn_cn_dn
+
+M_GRID = np.linspace(0.01, 0.99, 99)
 
 
 def test_erfc_scalar_and_array():
@@ -64,3 +66,29 @@ def test_jacobi_periodicity():
 def test_jacobi_scalar_returns_floats():
     sn, cn, dn = jacobi_sn_cn_dn(0.3, 0.5)
     assert isinstance(sn, float) and isinstance(cn, float) and isinstance(dn, float)
+
+
+def test_landen_descent_stops_relative_to_a():
+    # an absolute stop on c_n never fires for m = 0.5 and 20 other grid values
+    assert max(len(_landen(float(m))[0]) for m in M_GRID) <= 8
+
+
+def test_jacobi_near_the_closed_form_ends():
+    x = np.linspace(-3, 3, 61)
+    sn, cn, dn = jacobi_sn_cn_dn(x, 2.0**-52)
+    assert np.max(np.abs(np.array([sn - np.sin(x), cn - np.cos(x), dn - 1.0]))) < 1e-14
+    sn, cn, dn = jacobi_sn_cn_dn(x, 1.0 - 2.0**-52)
+    sech = 1.0 / np.cosh(x)
+    assert np.max(np.abs(np.array([sn - np.tanh(x), cn - sech, dn - sech]))) < 1e-14
+
+
+def test_jacobi_periodic_in_elliptic_K_over_m_grid():
+    x = np.linspace(0, 3, 31)
+    for m in M_GRID:
+        m = float(m)
+        k = elliptic_K(m)
+        sn, cn, dn = jacobi_sn_cn_dn(x, m)
+        sn4, cn4, _ = jacobi_sn_cn_dn(x + 4.0 * k, m)
+        _, _, dn2 = jacobi_sn_cn_dn(x + 2.0 * k, m)
+        dev = np.max(np.abs(np.array([sn4 - sn, cn4 - cn, dn2 - dn])))
+        assert dev < 1e-14, (m, dev)
