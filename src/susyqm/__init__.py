@@ -2,7 +2,7 @@
 
 Core objects: superpotentials and their partner pairs, ladder operators, a
 catalog of algebraically solvable wells with parameter-shift recursions,
-tridiagonal bound-state and Bloch band solvers, reflection/transmission
+a tridiagonal bound-state solver, Fourier-Floquet-Hill band edges, reflection/transmission
 recursions checked by an RK4 transfer-matrix propagator, one-parameter
 isospectral deformations, semiclassical quantization with exactness audits,
 and elliptic periodic wells.
@@ -43,7 +43,7 @@ from .core import (
     partner_potentials,
     w_from_ground_state,
 )
-from .eigensolver import EigenPair, SolverError, band_solve, bound_states, bound_states_of
+from .eigensolver import EigenPair, SolverError, bound_states, bound_states_of
 from .expressions import ExpressionError, compile_expression
 from .grids import Grid, GridError, SampledFunction, integrate, sample
 from .isospectral import (
@@ -105,7 +105,6 @@ __all__ = [
     "algebra_check",
     "apply_A",
     "apply_Adag",
-    "band_solve",
     "bound_states",
     "bound_states_of",
     "compile_expression",

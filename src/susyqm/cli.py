@@ -11,9 +11,10 @@ import argparse
 import json
 import math
 import os
+import re
 import sys
 import warnings
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from typing import Optional
 
 import numpy as np
@@ -180,40 +181,33 @@ def _superpotential_from_config(cfg: RunConfig) -> tuple[Superpotential, Grid]:
 
 
 def _cmd_partner(cfg: RunConfig) -> int:
+    grid, series, diagnostics = _partner_series(cfg)
+    table = np.column_stack([grid.points] + [np.asarray(s, dtype=float) for s in series.values()])
+    bad = ~np.isfinite(table).all(axis=1)
+    if bad.any():
+        raise ValueError(f"partner output is not finite at x = {_fmt(table[bad][0, 0])}")
+    diagnostics = {"n_points": grid.n_points, "h": grid.h, **diagnostics}
+    _emit(cfg, ["x", *series], table.tolist(), diagnostics)
+    return 0
+
+
+def _partner_series(cfg: RunConfig) -> tuple[Grid, dict, dict]:
     hierarchy = int(cfg.extra.get("hierarchy") or 0)
     if cfg.potential == "well":
         length = float(cfg.params.get("L", math.pi))
-        depth = max(hierarchy, 1) - 1
-        v = well_hierarchy_potential(depth, length)
-        n = cfg.grid[2] if cfg.grid else 2001
-        grid = Grid(length * 1e-4, length * (1 - 1e-4), n)
-        x = grid.points
-        rows = [[xi, vi] for xi, vi in zip(x, np.asarray(v(x), dtype=float))]
-        _emit(cfg, ["x", "v"], rows, {"n_points": grid.n_points, "h": grid.h})
-        return 0
+        v = well_hierarchy_potential(max(hierarchy, 1) - 1, length)
+        grid = Grid(length * 1e-4, length * (1 - 1e-4), cfg.grid[2] if cfg.grid else 2001)
+        return grid, {"v": v(grid.points)}, {}
     if hierarchy > 0:
         if cfg.potential is None:
             raise ConfigError("--hierarchy needs a catalog --potential")
         entry = _lookup(cfg)
         v, shift = hierarchy_potential(entry, hierarchy)
         grid = Grid(*cfg.grid) if cfg.grid else numeric_grid(entry, 2001)
-        x = grid.points
-        rows = [[xi, vi] for xi, vi in zip(x, np.asarray(v(x), dtype=float))]
-        _emit(
-            cfg,
-            ["x", "v"],
-            rows,
-            {"n_points": grid.n_points, "h": grid.h, "ground_energy_shift": shift},
-        )
-        return 0
+        return grid, {"v": v(grid.points)}, {"ground_energy_shift": shift}
     w, grid = _superpotential_from_config(cfg)
     x = grid.points
-    v1 = np.asarray(w.v1(x), dtype=float)
-    v2 = np.asarray(w.v2(x), dtype=float)
-    wx = np.asarray(w.w(x), dtype=float)
-    rows = [[a, b, c, d] for a, b, c, d in zip(x, wx, v1, v2)]
-    _emit(cfg, ["x", "w", "v1", "v2"], rows, {"n_points": grid.n_points, "h": grid.h})
-    return 0
+    return grid, {"w": w.w(x), "v1": w.v1(x), "v2": w.v2(x)}, {}
 
 
 def _cmd_spectrum(cfg: RunConfig) -> int:
@@ -446,7 +440,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--mass2", type=float, default=1.0, help="2m in chosen units")
         p.add_argument("--format", dest="out_format", choices=("csv", "json"), default="csv")
         p.add_argument("--output", help="output file (default: stdout)")
-        p.add_argument("--config", help="JSON file with the same keys as the flags")
+        p.add_argument("--config", help="JSON file of flag values; explicit flags win")
 
     p = sub.add_parser("partner", help="partner potentials, or a hierarchy member")
     common(p)
@@ -498,64 +492,76 @@ _DISPATCH = {
     "check": _cmd_check,
 }
 
-_EXTRA_KEYS = (
-    "hierarchy",
-    "levels",
-    "k",
-    "side",
-    "steps",
-    "lambdas",
-    "lame",
-    "m",
-    "count",
-    "v_expr",
-    "period",
-    "outdir",
-)
-
-
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    merged = vars(args).copy()
-    if merged.get("config"):
-        try:
-            with open(merged["config"], "r", encoding="utf-8") as fh:
-                file_cfg = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise ConfigError(f"cannot read config file: {exc}") from exc
-        if not isinstance(file_cfg, dict):
-            raise ConfigError("config file must hold a JSON object")
-        for key, value in file_cfg.items():
-            if key not in merged:
-                raise ConfigError(f"unknown config key {key!r}")
-            if merged.get(key) in (None, 1.0) or key in ("hbar", "mass2"):
-                merged[key] = value
-    extra = {k: merged.get(k) for k in _EXTRA_KEYS if merged.get(k) is not None}
+    named = {f.name for f in fields(RunConfig)} | {"config"}
     return RunConfig(
-        subcommand=merged["subcommand"],
-        potential=merged.get("potential"),
-        params=_parse_params(merged.get("params"))
-        if isinstance(merged.get("params"), str) or merged.get("params") is None
-        else dict(merged["params"]),
-        w_expr=merged.get("w_expr"),
-        grid=_parse_grid(merged.get("grid"))
-        if isinstance(merged.get("grid"), str) or merged.get("grid") is None
-        else tuple(merged["grid"]),
-        hbar=float(merged.get("hbar") or 1.0),
-        mass2=float(merged.get("mass2") or 1.0),
-        out_format=merged.get("out_format") or "csv",
-        output=merged.get("output"),
-        extra=extra,
+        subcommand=args.subcommand,
+        potential=args.potential,
+        params=_parse_params(args.params),
+        w_expr=args.w_expr,
+        grid=_parse_grid(args.grid),
+        hbar=args.hbar,
+        mass2=args.mass2,
+        out_format=args.out_format,
+        output=args.output,
+        extra={k: v for k, v in vars(args).items() if k not in named and v is not None},
     )
+
+
+def _config_flags(path: str, known: set) -> list[str]:
+    """The config file's keys as --flag=value tokens, checked like typed flags.
+
+    Lists are joined by commas and dicts written as name=value pairs.
+    """
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            file_cfg = json.load(fh)
+    except (OSError, json.JSONDecodeError) as exc:
+        raise ConfigError(f"cannot read config file: {exc}") from exc
+    if not isinstance(file_cfg, dict):
+        raise ConfigError("config file must hold a JSON object")
+    flags = []
+    for key, value in file_cfg.items():
+        if key not in known or key in ("subcommand", "config"):
+            raise ConfigError(f"unknown config key {key!r}")
+        if value is None:
+            continue
+        if isinstance(value, dict):
+            value = ",".join(f"{k}={v}" for k, v in value.items())
+        elif isinstance(value, list):
+            value = ",".join(str(v) for v in value)
+        flag = "--format" if key == "out_format" else "--" + key.replace("_", "-")
+        flags.append(f"{flag}={value}")
+    return flags
+
+
+def _attach_negative_values(argv: list[str]) -> list[str]:
+    """Rewrite "--grid -10,10,2001" as "--grid=-10,10,2001".
+
+    argparse reads a token that starts with '-' and is not a plain number as
+    an option, so a negative lo,hi,n or comma list would be refused.
+    """
+    out: list[str] = []
+    for token in argv:
+        if out and out[-1].startswith("--") and "=" not in out[-1] and re.match(r"-\.?\d", token):
+            out[-1] += "=" + token
+        else:
+            out.append(token)
+    return out
 
 
 def main(argv: Optional[list[str]] = None) -> int:
     parser = _build_parser()
+    argv = _attach_negative_values(sys.argv[1:] if argv is None else list(argv))
     try:
         args = parser.parse_args(argv)
+        if args.config is not None:  # the file's flags go first, so explicit flags win
+            i = argv.index(args.subcommand) + 1
+            file_flags = _config_flags(args.config, set(vars(args)))
+            args = parser.parse_args(argv[:i] + file_flags + argv[i:])
+        cfg = _config_from_args(args)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
-    try:
-        cfg = _config_from_args(args)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2

@@ -1,10 +1,11 @@
-"""Independent numerical oracle for bound states and band edges.
+"""Independent numerical oracle for bound states.
 
 Discretizes -c^2 d^2/dx^2 + V on a uniform grid (c^2 = hbar^2/2m) with the
 symmetric 3-point stencil, solves the tridiagonal eigenproblem, and sharpens
 eigenvalues by Richardson extrapolation between the grid and its 2h coarsening.
-Dirichlet walls, the reduced radial problem, and Bloch (periodic/antiperiodic)
-sectors are all handled here; everything downstream cross-checks against this.
+Dirichlet walls and the reduced radial problem are handled here; everything
+downstream cross-checks against this. Band edges of periodic wells come from
+the Fourier-Floquet-Hill solver in periodic.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh, eigh_tridiagonal
+from scipy.linalg import eigh_tridiagonal
 
 from .grids import Grid, SampledFunction, count_nodes, integrate, sample
 
@@ -137,76 +138,3 @@ def radial_bound_states(
     return bound_states(
         SampledFunction(grid, veff), count, hbar, mass2, check_decay=False
     )
-
-
-def band_solve(
-    v: SampledFunction,
-    kL: float,
-    count: int,
-    hbar: float = 1.0,
-    mass2: float = 1.0,
-    richardson: bool = True,
-) -> list[EigenPair]:
-    """Lowest `count` levels over one period with Bloch phase kL in {0, pi}.
-
-    The sampled potential covers one full period including both endpoints
-    (values[0] == values[-1]); the right endpoint is dropped and the hopping
-    wraps around with sign +1 (periodic) or -1 (antiperiodic).
-    """
-    if not (abs(kL) < 1e-12 or abs(kL - math.pi) < 1e-12):
-        raise SolverError("band edges live at Bloch phase 0 or pi only")
-    sign = 1.0 if abs(kL) < 1e-12 else -1.0
-    grid = v.grid
-    if abs(v.values[0] - v.values[-1]) > 1e-8 * (1 + abs(v.values[0])):
-        raise SolverError("potential samples are not periodic over the window")
-
-    def sector_energies(vals: np.ndarray, h: float, want_vecs: bool):
-        n = vals.size - 1  # unique points
-        c2 = _c2(hbar, mass2)
-        H = np.zeros((n, n))
-        i = np.arange(n)
-        H[i, i] = 2.0 * c2 / h**2 + vals[:-1]
-        H[i[:-1], i[:-1] + 1] = -c2 / h**2
-        H[i[:-1] + 1, i[:-1]] = -c2 / h**2
-        H[0, n - 1] += -sign * c2 / h**2
-        H[n - 1, 0] += -sign * c2 / h**2
-        if want_vecs:
-            return eigh(H, subset_by_index=(0, count - 1))
-        return eigh(H, subset_by_index=(0, count - 1), eigvals_only=True)
-
-    energies, vecs = sector_energies(v.values, grid.h, True)
-    if richardson and (grid.n_points - 1) % 2 == 0 and grid.n_points >= 9:
-        coarse = sector_energies(v.values[::2], 2 * grid.h, False)
-        energies = (4.0 * energies - coarse) / 3.0
-
-    pairs = []
-    for i in range(count):
-        psi = np.append(vecs[:, i], sign * vecs[0, i])
-        norm = integrate(SampledFunction(grid, psi**2))
-        psi /= math.sqrt(norm)
-        pairs.append(
-            EigenPair(
-                float(energies[i]),
-                SampledFunction(grid, psi),
-                _cyclic_nodes(vecs[:, i], sign),
-                True,
-            )
-        )
-    return pairs
-
-
-def _cyclic_nodes(psi: np.ndarray, sign: float) -> int:
-    """Sign changes per period, closing the loop with the Bloch sign.
-
-    The state is unrolled over two periods (antiperiodic states become
-    periodic), sign changes are counted cyclically, and the total is halved;
-    this counts nodes sitting exactly on the sample boundary correctly.
-    """
-    doubled = np.concatenate([psi, sign * psi])
-    floor = 1e-8 * np.max(np.abs(doubled))
-    sig = doubled[np.abs(doubled) > floor]
-    if sig.size < 2:
-        return 0
-    closed = np.append(sig, sig[0])
-    flips = int(np.sum(np.signbit(closed[:-1]) != np.signbit(closed[1:])))
-    return flips // 2

@@ -23,16 +23,13 @@ class ExpressionError(ValueError):
     pass
 
 
-def _sn(u, m):
-    return np.asarray(jacobi_sn_cn_dn(u, float(m))[0])
+def _jacobi(index: int) -> Callable:
+    def fn(u, m):
+        if np.ndim(m):
+            raise ExpressionError("the elliptic parameter m of sn/cn/dn must not depend on x")
+        return np.asarray(jacobi_sn_cn_dn(u, float(m))[index])
 
-
-def _cn(u, m):
-    return np.asarray(jacobi_sn_cn_dn(u, float(m))[1])
-
-
-def _dn(u, m):
-    return np.asarray(jacobi_sn_cn_dn(u, float(m))[2])
+    return fn
 
 
 _FUNCTIONS: dict[str, Callable] = {
@@ -49,9 +46,9 @@ _FUNCTIONS: dict[str, Callable] = {
     "ln": np.log,
     "sqrt": np.sqrt,
     "abs": np.abs,
-    "sn": _sn,
-    "cn": _cn,
-    "dn": _dn,
+    "sn": _jacobi(0),
+    "cn": _jacobi(1),
+    "dn": _jacobi(2),
 }
 
 _CONSTANTS = {"pi": np.pi, "e": np.e}
@@ -72,18 +69,16 @@ def compile_expression(text: str, params: dict | None = None) -> Callable:
     as constants at compile time.
     """
     params = dict(params or {})
-    source = text.replace("^", "**")
-    try:
-        tree = ast.parse(source, mode="eval")
-    except SyntaxError as exc:
-        raise ExpressionError(f"cannot parse expression {text!r}: {exc.msg}") from exc
 
     def ev(node, x):
         if isinstance(node, ast.Expression):
             return ev(node.body, x)
         if isinstance(node, ast.Constant):
             if isinstance(node.value, (int, float)):
-                return float(node.value)
+                try:
+                    return float(node.value)
+                except OverflowError as exc:
+                    raise ExpressionError("integer literal is too large for a float") from exc
             raise ExpressionError(f"literal {node.value!r} is not a number")
         if isinstance(node, ast.Name):
             if node.id == "x":
@@ -113,11 +108,25 @@ def compile_expression(text: str, params: dict | None = None) -> Callable:
             return fn(*args)
         raise ExpressionError(f"disallowed syntax: {ast.dump(node)[:60]}")
 
-    # validate eagerly on a scalar so bad expressions fail at compile time
-    ev(tree, np.array(0.5))
+    too_deep = f"expression {text[:30]!r}... is nested too deeply"
+
+    def evaluate(tree, x):
+        try:
+            return ev(tree, x)
+        except RecursionError as exc:
+            raise ExpressionError(too_deep) from exc
+
+    try:
+        tree = ast.parse(text.replace("^", "**"), mode="eval")
+    except SyntaxError as exc:
+        raise ExpressionError(f"cannot parse expression {text!r}: {exc.msg}") from exc
+    except RecursionError as exc:
+        raise ExpressionError(too_deep) from exc
+    # validate eagerly on a vector so bad expressions fail at compile time
+    evaluate(tree, np.array([0.5]))
 
     def f(x):
-        out = ev(tree, np.asarray(x, dtype=float))
+        out = evaluate(tree, np.asarray(x, dtype=float))
         return np.broadcast_to(np.asarray(out, dtype=float), np.shape(x)).copy() if np.ndim(out) == 0 and np.ndim(x) > 0 else out
 
     return f

@@ -32,6 +32,7 @@ from .grids import Grid, SampledFunction, integrate, sample
 from .isospectral import IsoFamily, conserved_charges, pursey_abraham_moses
 from .periodic import (
     LameSpec,
+    PeriodicError,
     PeriodicSuperpotential,
     band_edge_states,
     classify_pair,
@@ -318,7 +319,11 @@ def check_oscillation_theorem() -> CheckResult:
     v1, _, v2 = lame_partner(spec)
     targets.append((v2, spec.period, 5))
     for v, period, count in targets:
-        for edge, pair in band_edge_states(v, period, count, n_points=801):
+        try:
+            states = band_edge_states(v, period, count, n_points=801)
+        except PeriodicError as exc:  # a sector tag off the L,2L,2L,L,L pattern
+            return _result(name, False, str(exc))
+        for edge, pair in states:
             if pair.nodes != edge.nodes_per_period:
                 return _result(
                     name,

@@ -183,3 +183,53 @@ def test_csv_precision(capsys):
     _, out = run(capsys, "bands", "--lame", "a=1", "--m", "0.5", "--count", "1")
     value = out.strip().splitlines()[1].split(",")[0]
     assert len(value.replace(".", "").replace("-", "").lstrip("0")) >= 15
+
+
+def test_partner_non_finite_output_is_a_numeric_failure(capsys):
+    code, out = run(capsys, "partner", "--w-expr", "1/x", "--grid=-1,1,5")
+    assert code == 1
+    assert out == ""
+
+
+def test_config_sets_every_key_and_explicit_flags_win(tmp_path, capsys):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"levels": 2, "potential": "shifted_oscillator"}))
+    code, out = run(capsys, "spectrum", "--config", str(cfg))
+    assert code == 0
+    assert len(parse_csv(out)[1]) == 2
+    code, out = run(capsys, "spectrum", "--config", str(cfg), "--levels", "3")
+    assert len(parse_csv(out)[1]) == 3
+
+    cfg.write_text(json.dumps({"hbar": 3, "grid": [-5, 5, 11]}))
+    argv = ["partner", "--w-expr", "tanh(x)", "--config", str(cfg), "--format", "json"]
+    code, out = run(capsys, *argv, "--hbar", "2")
+    assert code == 0
+    inputs = json.loads(out)["inputs"]
+    assert inputs["hbar"] == 2.0
+    assert inputs["grid"] == [-5.0, 5.0, 11]
+    _, out = run(capsys, *argv)
+    assert json.loads(out)["inputs"]["hbar"] == 3.0
+
+
+@pytest.mark.parametrize(
+    "subcommand, bad",
+    [("spectrum", {"levels": "many"}), ("spectrum", {"k": "1"}), ("scatter", {"side": 3})],
+)
+def test_config_values_are_checked_like_flags(tmp_path, capsys, subcommand, bad):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"potential": "sech2", **bad}))
+    assert main([subcommand, "--config", str(cfg)]) == 2
+
+
+def test_documented_negative_grid_form(capsys):
+    # docs/expression_grammar.md writes the grid as a separate token
+    code, out = run(capsys, "partner", "--w-expr", "2*tanh(x)", "--grid", "-10,10,21")
+    assert code == 0
+    _, rows = parse_csv(out)
+    assert rows[0][0] == -10.0 and len(rows) == 21
+
+
+def test_expression_failures_are_configuration_errors(capsys):
+    assert main(["partner", "--w-expr", "sn(x, x)", "--grid", "-1,1,5"]) == 2
+    assert main(["partner", "--w-expr", "0+" + "-" * 5000 + "x", "--grid", "-1,1,5"]) == 2
+    assert "configuration error" in capsys.readouterr().err

@@ -5,12 +5,11 @@ import pytest
 
 from susyqm.eigensolver import (
     SolverError,
-    band_solve,
     bound_states,
     bound_states_of,
     radial_bound_states,
 )
-from susyqm.grids import Grid, SampledFunction, sample
+from susyqm.grids import Grid, SampledFunction
 
 
 def test_oscillator_levels():
@@ -54,31 +53,3 @@ def test_too_many_states_raises():
     g = Grid(0.0, 1.0, 11)
     with pytest.raises(SolverError):
         bound_states(SampledFunction(g, np.zeros(11)), 50)
-
-
-def test_band_solve_free_particle():
-    # V = 0, period 2 pi: periodic sector energies are k^2 for integer k
-    g = Grid(0.0, 2 * math.pi, 801)
-    lv = band_solve(SampledFunction(g, np.zeros(g.n_points)), 0.0, 3)
-    assert lv[0].energy == pytest.approx(0.0, abs=1e-8)
-    assert lv[1].energy == pytest.approx(1.0, abs=1e-6)
-    assert lv[2].energy == pytest.approx(1.0, abs=1e-6)
-
-
-def test_band_solve_antiperiodic_sector():
-    g = Grid(0.0, 2 * math.pi, 801)
-    lv = band_solve(SampledFunction(g, np.zeros(g.n_points)), math.pi, 2)
-    assert lv[0].energy == pytest.approx(0.25, abs=1e-6)
-    assert lv[1].energy == pytest.approx(0.25, abs=1e-6)
-
-
-def test_band_solve_rejects_interior_bloch_phase():
-    g = Grid(0.0, 2 * math.pi, 101)
-    with pytest.raises(SolverError):
-        band_solve(SampledFunction(g, np.zeros(101)), 1.0, 2)
-
-
-def test_band_solve_rejects_nonperiodic_samples():
-    g = Grid(0.0, 1.0, 101)
-    with pytest.raises(SolverError):
-        band_solve(sample(lambda x: x, g), 0.0, 2)

@@ -66,3 +66,20 @@ def test_constant_expression_broadcasts():
     out = f(np.linspace(0, 1, 5))
     assert out.shape == (5,)
     assert np.all(out == 3.0)
+
+
+def test_elliptic_parameter_depending_on_x_rejected():
+    with pytest.raises(ExpressionError, match="must not depend on x"):
+        compile_expression("sn(x, x)")
+
+
+def test_deep_nesting_rejected():
+    with pytest.raises(ExpressionError, match="nested too deeply"):
+        compile_expression("-" * 5000 + "x")
+    with pytest.raises(ExpressionError, match="nested too deeply"):
+        compile_expression("-" * 1000 + "x")  # parses, but overflows the evaluator's stack
+
+
+def test_oversized_integer_literal_rejected():
+    with pytest.raises(ExpressionError, match="too large"):
+        compile_expression("1" + "0" * 400 + "*x")

@@ -2,7 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
+from susyqm.eigensolver import SolverError
 from susyqm.periodic import (
     BandEdge,
     LameSpec,
@@ -123,6 +125,80 @@ def test_band_edge_states_node_counts():
     states = band_edge_states(lame_potential(spec), spec.period, 3, n_points=1201)
     for edge, pair in states:
         assert edge.nodes_per_period in (0, 1)
+
+
+@pytest.mark.parametrize("m", [0.1, 0.3, 0.5, 0.7, 0.9])
+@pytest.mark.parametrize("a", [1, 2])
+def test_lame_edges_states_and_nodes_match_closed_form(a, m):
+    spec = LameSpec(a, m)
+    states = band_edge_states(lame_potential(spec), spec.period, 2 * a + 1, n_points=801)
+    closed = lame_band_edges(spec)
+    assert len(states) == len(closed)
+    for (edge, pair), exact in zip(states, closed):
+        assert edge.energy == pytest.approx(exact.energy, abs=1e-10)
+        assert edge.period_tag == exact.period_tag
+        assert pair.nodes == edge.nodes_per_period == exact.nodes_per_period
+
+
+@pytest.mark.parametrize("m", [0.3, 0.5, 0.8])
+def test_lame_partner_edges_are_hill_discriminant_roots(m):
+    # the RK4 propagator is an independent oracle: D(E) = 2 at L edges, -2 at 2L edges
+    spec = LameSpec(2, m)
+    _, _, v2 = lame_partner(spec)
+    for edge in numeric_band_edges(v2, spec.period, 5, n_points=801):
+        target = 2.0 if edge.period_tag == "L" else -2.0
+        assert hill_discriminant(v2, spec.period, edge.energy) == pytest.approx(target, abs=1e-5)
+
+
+def kronig_penney(x):
+    return np.where(np.mod(x, 2.0) < 1.0, 0.0, 3.0)
+
+
+def kronig_penney_discriminant(e):
+    """tr(M_b M_a) = 2 cos(kL) for V = 0 on [0, 1) and 3 on [1, 2)."""
+    ka, kb = np.sqrt(e + 0j), np.sqrt(e - 3.0 + 0j)
+    return (2 * np.cos(ka) * np.cos(kb) - (ka / kb + kb / ka) * np.sin(ka) * np.sin(kb)).real
+
+
+def test_rough_potential_converges_and_warns():
+    # a step has harmonics ~ 1/j: the mode cap binds and a RuntimeWarning says so
+    scan = np.linspace(0.01, 20.0, 4000)
+    roots = []
+    for target, tag in ((2.0, "L"), (-2.0, "2L")):
+        def g(e):
+            return kronig_penney_discriminant(e) - target
+
+        f = g(scan)
+        for i in np.flatnonzero(np.sign(f[:-1]) != np.sign(f[1:])):
+            roots.append((brentq(g, scan[i], scan[i + 1], xtol=1e-14), tag))
+    roots.sort()
+    with pytest.warns(RuntimeWarning, match="converge only algebraically"):
+        edges = numeric_band_edges(kronig_penney, 2.0, 5, n_points=1201)
+    assert len(edges) == 5
+    for edge, (e, tag) in zip(edges, roots):
+        assert edge.energy == pytest.approx(e, abs=1e-5)
+        assert edge.period_tag == tag
+
+
+def test_numeric_band_edges_free_particle():
+    # V = 0, period 2 pi: periodic-sector edges are k^2 for integer k
+    edges = numeric_band_edges(np.zeros_like, 2 * math.pi, 5, n_points=801)
+    lv = [e.energy for e in edges if e.period_tag == "L"]
+    assert lv[0] == pytest.approx(0.0, abs=1e-8)
+    assert lv[1] == pytest.approx(1.0, abs=1e-6)
+    assert lv[2] == pytest.approx(1.0, abs=1e-6)
+
+
+def test_numeric_band_edges_antiperiodic_sector():
+    edges = numeric_band_edges(np.zeros_like, 2 * math.pi, 5, n_points=801)
+    lv = [e.energy for e in edges if e.period_tag == "2L"]
+    assert lv[0] == pytest.approx(0.25, abs=1e-6)
+    assert lv[1] == pytest.approx(0.25, abs=1e-6)
+
+
+def test_numeric_band_edges_rejects_nonperiodic_samples():
+    with pytest.raises(SolverError):
+        numeric_band_edges(lambda x: x, 1.0, 2, n_points=101)
 
 
 def test_hill_discriminant_at_band_edges():
