@@ -28,7 +28,6 @@ from .catalog import (
 from .core import (
     AlgebraReport,
     GroundStateSide,
-    PartnerPair,
     Superpotential,
     SusyError,
     SusyStatus,
@@ -40,7 +39,6 @@ from .core import (
     map_from_partner,
     map_to_partner,
     normalized,
-    partner_potentials,
     w_from_ground_state,
 )
 from .eigensolver import EigenPair, SolverError, bound_states, bound_states_of
@@ -50,7 +48,6 @@ from .isospectral import (
     IsoFamily,
     IsospectralError,
     conserved_charges,
-    deformed_family,
     pursey_abraham_moses,
 )
 from .periodic import (
@@ -89,7 +86,6 @@ __all__ = [
     "IsospectralError",
     "LameSpec",
     "Mode",
-    "PartnerPair",
     "PeriodicError",
     "PeriodicSuperpotential",
     "QuantizationProblem",
@@ -109,7 +105,6 @@ __all__ = [
     "bound_states_of",
     "compile_expression",
     "conserved_charges",
-    "deformed_family",
     "detect_breaking",
     "exactness_audit",
     "ground_state_from_w",
@@ -125,7 +120,6 @@ __all__ = [
     "numeric_grid",
     "numeric_levels",
     "numeric_rt",
-    "partner_potentials",
     "partner_rt",
     "propagate",
     "pursey_abraham_moses",

@@ -11,14 +11,14 @@ polynomials. Units are hbar = 2m = 1 throughout the closed forms.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
 from .core import Superpotential, apply_Adag, ground_state_from_w, normalized
 from .eigensolver import EigenPair, bound_states
-from .grids import Grid, SampledFunction, sample
+from .grids import Grid, SampledFunction
 
 
 class CatalogError(ValueError):
@@ -57,25 +57,30 @@ class SipEntry:
     radial: bool = False
 
     def superpotential(self, params: Optional[dict] = None) -> Superpotential:
+        """W at params (default: the entry's), with p's own finite asymptotes.
+
+        The limits are W(-+inf; p) on the sides where the entry declares a
+        finite asymptote, so they follow p along the parameter chain.
+        """
         p = dict(self.params if params is None else params)
+
+        def limit(declared, end):
+            return None if declared is None else float(self.w_of(np.asarray(end), p))
+
         return Superpotential(
             w=lambda x: self.w_of(np.asarray(x, dtype=float), p),
             w_prime=lambda x: self.w_prime_of(np.asarray(x, dtype=float), p),
             domain=self.domain,
             params=p,
-            w_minus=self.w_minus,
-            w_plus=self.w_plus,
+            w_minus=limit(self.w_minus, -math.inf),
+            w_plus=limit(self.w_plus, math.inf),
         )
 
     def v1(self, x, params: Optional[dict] = None):
-        p = self.params if params is None else params
-        x = np.asarray(x, dtype=float)
-        return self.w_of(x, p) ** 2 - self.w_prime_of(x, p)
+        return self.superpotential(params).v1(x)
 
     def v2(self, x, params: Optional[dict] = None):
-        p = self.params if params is None else params
-        x = np.asarray(x, dtype=float)
-        return self.w_of(x, p) ** 2 + self.w_prime_of(x, p)
+        return self.superpotential(params).v2(x)
 
     def param_chain(self, depth: int) -> list[dict]:
         chain = [dict(self.params)]
@@ -484,31 +489,3 @@ def numeric_grid(entry: SipEntry, n_points: int = 4001) -> Grid:
     pad_lo = 1e-4 * (hi - lo) if entry.wall_lo else 0.0
     pad_hi = 1e-4 * (hi - lo) if entry.wall_hi else 0.0
     return Grid(lo + pad_lo, hi - pad_hi, n_points)
-
-
-def sip_scatter_recursion(
-    entry: SipEntry,
-    k: float,
-    n_steps: int,
-    end_r=0.0 + 0.0j,
-    end_t=1.0 + 0.0j,
-) -> tuple[complex, complex]:
-    """Propagate (R, T) back through n_steps of the shape-invariance relation.
-
-    Starting from the amplitudes of V1(x; a_{n_steps+1}) (free particle by
-    default, as for reflectionless chains), returns the amplitudes of
-    V1(x; a_1). Requires finite superpotential asymptotes.
-    """
-    if entry.w_minus is None or entry.w_plus is None:
-        raise CatalogError(f"{entry.name} is confining; no scattering states")
-    chain = entry.param_chain(n_steps)
-    big = 1e6
-    r, t = complex(end_r), complex(end_t)
-    for pk in reversed(chain[:-1]):
-        wm = float(entry.w_of(np.array(-big), pk))
-        wp = float(entry.w_of(np.array(big), pk))
-        e = k**2 + wm**2
-        kp = math.sqrt(e - wp**2)
-        r = (wm + 1j * k) / (wm - 1j * k) * r
-        t = (wp - 1j * kp) / (wm - 1j * k) * t
-    return r, t

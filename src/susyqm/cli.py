@@ -3,6 +3,7 @@
 Outputs are deterministic CSV (17 significant digits) or a JSON envelope that
 echoes the inputs and carries per-operation outputs plus discretization
 diagnostics. Exit codes: 0 success, 1 numeric failure, 2 configuration error.
+Each distinct warning a run raises is printed once on stderr as "warning: ...".
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from .catalog import (
 from .core import Superpotential
 from .eigensolver import SolverError
 from .expressions import ExpressionError, compile_expression
-from .grids import Grid, GridError, SampledFunction, sample
+from .grids import Grid, GridError, SampledFunction
 from .isospectral import IsoFamily, IsospectralError
 from .periodic import LameSpec, PeriodicError, lame_band_edges, lame_potential, numeric_band_edges
 from .scattering import ScatterError, numeric_rt_for
@@ -192,7 +193,7 @@ def _cmd_partner(cfg: RunConfig) -> int:
 
 
 def _partner_series(cfg: RunConfig) -> tuple[Grid, dict, dict]:
-    hierarchy = int(cfg.extra.get("hierarchy") or 0)
+    hierarchy = cfg.extra.get("hierarchy", 0)
     if cfg.potential == "well":
         length = float(cfg.params.get("L", math.pi))
         v = well_hierarchy_potential(max(hierarchy, 1) - 1, length)
@@ -214,8 +215,7 @@ def _cmd_spectrum(cfg: RunConfig) -> int:
     if cfg.potential is None:
         raise ConfigError("spectrum needs a catalog --potential")
     entry = _lookup(cfg)
-    levels = int(cfg.extra.get("levels") or 6)
-    spec, truncated = sip_spectrum(entry, levels - 1)
+    spec, truncated = sip_spectrum(entry, cfg.extra["levels"] - 1)
     rows = [[n, e] for n, e in enumerate(spec)]
     _emit(
         cfg,
@@ -239,11 +239,9 @@ def _cmd_scatter(cfg: RunConfig) -> int:
             f"potential {cfg.potential!r} has no finite superpotential asymptotes; "
             "scattering needs a full-line entry such as sech2 or rosen_morse2"
         )
-    ks = _parse_floats(cfg.extra.get("k") or "0.5,1,2", "--k")
-    side = int(cfg.extra.get("side") or 1)
-    steps = int(cfg.extra.get("steps", 8000))
-    if steps < 1:
-        raise ConfigError(f"--steps must be a positive integer, got {steps}")
+    ks = _parse_floats(cfg.extra.get("k", "0.5,1,2"), "--k")
+    side = cfg.extra["side"]
+    steps = cfg.extra["steps"]
     rows, flux_defect = [], []
     for k in ks:
         energy = (w.c * k) ** 2 + float(w.w_minus) ** 2
@@ -272,7 +270,7 @@ def _cmd_scatter(cfg: RunConfig) -> int:
 
 def _cmd_isospectral(cfg: RunConfig) -> int:
     w, grid = _superpotential_from_config(cfg)
-    lams = _parse_floats(cfg.extra.get("lambdas") or "0.5,1,5", "--lambdas")
+    lams = _parse_floats(cfg.extra.get("lambdas", "0.5,1,5"), "--lambdas")
     fam = IsoFamily.build(w, grid)
     columns = ["x"]
     series = [grid.points]
@@ -288,8 +286,7 @@ def _cmd_swkb(cfg: RunConfig) -> int:
     if cfg.potential is None:
         raise ConfigError("swkb needs a catalog --potential")
     entry = _lookup(cfg)
-    levels = int(cfg.extra.get("levels") or 4)
-    spec, _ = sip_spectrum(entry, levels - 1)
+    spec, _ = sip_spectrum(entry, cfg.extra["levels"] - 1)
     prob_s = problem_for_entry(entry, Mode.SWKB_V1)
     prob_w = problem_for_entry(entry, Mode.WKB) if entry.name in WKB_APPLICABLE else None
     rows = []
@@ -309,9 +306,12 @@ def _cmd_bands(cfg: RunConfig) -> int:
             a = int(str(lame).split("=")[-1])
         except ValueError as exc:
             raise ConfigError(f"bad --lame value {lame!r}") from exc
-        m = float(cfg.extra.get("m") or 0.5)
-        spec = LameSpec(a, m)
-        n_edges = int(count or (2 * a + 1))
+        m = cfg.extra.get("m", 0.5)
+        try:
+            spec = LameSpec(a, m)
+        except PeriodicError as exc:
+            raise ConfigError(str(exc)) from exc
+        n_edges = 2 * a + 1 if count is None else count
         v = lame_potential(spec)
         numeric = numeric_band_edges(v, spec.period, n_edges, n_points=1201)
         analytic = lame_band_edges(spec) if a in (1, 2) else None
@@ -331,8 +331,7 @@ def _cmd_bands(cfg: RunConfig) -> int:
     if not expr or not period:
         raise ConfigError("bands needs either --lame a=N [--m M] or --v-expr with --period")
     v = compile_expression(expr, cfg.params)
-    period = float(period)
-    n_edges = int(count or 5)
+    n_edges = 5 if count is None else count
     numeric = numeric_band_edges(v, period, n_edges, n_points=1201)
     rows = [
         [e.energy, 0.0 if e.period_tag == "L" else 1.0, e.nodes_per_period] for e in numeric
@@ -423,8 +422,29 @@ def _cmd_check(cfg: RunConfig) -> int:
 # ---------------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a bad flag as one configuration-error line instead of the usage text."""
+
+    def error(self, message):
+        raise ConfigError(f"{self.prog}: {message}")
+
+
+def _int_from(lowest: int):
+    """argparse type: an integer no smaller than lowest."""
+
+    def parse(text: str) -> int:
+        try:
+            if int(text) >= lowest:
+                return int(text)
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"expected an integer >= {lowest}, got {text!r}")
+
+    return parse
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="susyqm",
         description="Self-verifying toolkit for factorized quantum mechanics.",
     )
@@ -444,17 +464,17 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("partner", help="partner potentials, or a hierarchy member")
     common(p)
-    p.add_argument("--hierarchy", type=int, help="emit the s-th hierarchy member")
+    p.add_argument("--hierarchy", type=_int_from(0), help="emit the s-th hierarchy member")
 
     p = sub.add_parser("spectrum", help="closed-form bound spectrum of a catalog entry")
     common(p)
-    p.add_argument("--levels", type=int, default=6)
+    p.add_argument("--levels", type=_int_from(1), default=6)
 
     p = sub.add_parser("scatter", help="reflection/transmission amplitudes")
     common(p)
     p.add_argument("--k", help="comma-separated incident momenta (default 0.5,1,2)")
     p.add_argument("--side", type=int, choices=(1, 2), default=1)
-    p.add_argument("--steps", type=int, default=8000)
+    p.add_argument("--steps", type=_int_from(1), default=8000)
 
     p = sub.add_parser("isospectral", help="one-parameter isospectral family curves")
     common(p)
@@ -462,15 +482,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("swkb", help="semiclassical vs exact level table")
     common(p)
-    p.add_argument("--levels", type=int, default=4)
+    p.add_argument("--levels", type=_int_from(1), default=4)
 
     p = sub.add_parser("bands", help="band edges of a periodic well")
     common(p)
     p.add_argument("--lame", help="a=1 or a=2 elliptic well")
-    p.add_argument("--m", help="elliptic parameter in (0,1)")
-    p.add_argument("--count", help="number of edges")
+    p.add_argument("--m", type=float, help="elliptic parameter in (0,1)")
+    p.add_argument("--count", type=_int_from(1), help="number of edges")
     p.add_argument("--v-expr", dest="v_expr", help="inline periodic potential expression")
-    p.add_argument("--period", help="period of --v-expr")
+    p.add_argument("--period", type=float, help="period of --v-expr")
 
     p = sub.add_parser("figures", help="write plot-ready data files plus a manifest")
     common(p)
@@ -560,21 +580,24 @@ def main(argv: Optional[list[str]] = None) -> int:
             file_flags = _config_flags(args.config, set(vars(args)))
             args = parser.parse_args(argv[:i] + file_flags + argv[i:])
         cfg = _config_from_args(args)
-    except SystemExit as exc:
-        return 2 if exc.code not in (0, None) else 0
+    except SystemExit:  # --help and --version; bad flags raise ConfigError
+        return 0
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
             return _DISPATCH[cfg.subcommand](cfg)
-    except (ConfigError, ExpressionError) as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return 2
-    except _NUMERIC_ERRORS as exc:
-        print(f"numeric failure in {cfg.subcommand}: {exc}", file=sys.stderr)
-        return 1
+        except (ConfigError, ExpressionError) as exc:
+            print(f"configuration error: {exc}", file=sys.stderr)
+            return 2
+        except _NUMERIC_ERRORS as exc:
+            print(f"numeric failure in {cfg.subcommand}: {exc}", file=sys.stderr)
+            return 1
+        finally:
+            for message in dict.fromkeys(str(w.message) for w in caught):
+                print(f"warning: {message}", file=sys.stderr)
 
 
 if __name__ == "__main__":

@@ -17,6 +17,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from .eigensolver import dirichlet_tridiagonal, lowest_eigenvalues
 from .grids import (
     Grid,
     SampledFunction,
@@ -82,22 +83,6 @@ def _fd_derivative(fn, x, rel_h: float = 1e-6):
     return (fn(x - 2 * h) - 8 * fn(x - h) + 8 * fn(x + h) - fn(x + 2 * h)) / (12 * h)
 
 
-@dataclass(frozen=True)
-class PartnerPair:
-    """The two partner potentials generated by one superpotential."""
-
-    source: Superpotential
-
-    def v1(self, x):
-        return self.source.v1(x)
-
-    def v2(self, x):
-        return self.source.v2(x)
-
-    def sampled(self, grid: Grid) -> tuple[SampledFunction, SampledFunction]:
-        return sample(self.v1, grid), sample(self.v2, grid)
-
-
 class GroundStateSide(Enum):
     V1 = "V1"
     V2 = "V2"
@@ -109,11 +94,6 @@ class SusyStatus:
     broken: bool
     ground_state_side: GroundStateSide
     norm_of_candidate: float
-
-
-def partner_potentials(w: Superpotential) -> PartnerPair:
-    """Build the partner pair V1 = W^2 - cW', V2 = W^2 + cW'."""
-    return PartnerPair(source=w)
 
 
 def ground_state_from_w(w: Superpotential, grid: Grid) -> SampledFunction:
@@ -201,54 +181,47 @@ def map_from_partner(
 
 @dataclass(frozen=True)
 class AlgebraReport:
-    """Matrix residuals of the closed superalgebra on a Dirichlet grid.
+    """The discrete superalgebra of the bidiagonal A on a Dirichlet grid.
 
-    The Hamiltonians are assembled in factored form (H1 = At A, H2 = A At with
-    A a one-sided difference plus W), which makes the anticommutation and
-    commutation identities hold to rounding; discretization_gap reports how far
-    the factored H1 sits from the direct 3-point stencil with V1 = W^2 - cW',
-    which shrinks as O(h) with grid refinement.
+    A = c D + W is the (n-1) x n forward difference plus W on the n interior
+    nodes, so H1 = A^T A (n x n) keeps an exact zero mode and H2 = A A^T
+    ((n-1) x (n-1)) carries the rest of its spectrum. Both are assembled as
+    tridiagonals. The residuals are relative to a bound on ||H1||:
+    zero_mode_residual is |lambda_0(H1)| and partner_residual is
+    max_k |lambda_{k+1}(H1) - lambda_k(H2)| over the lowest levels. The
+    discretization_gap is the largest difference over the lowest five levels
+    between H1 and the direct 3-point stencil with V1 = W^2 - cW'. It shrinks
+    as O(h^2) under refinement when w_prime is the derivative of W and those
+    five states vanish well inside the grid, where the boundary rows of H1 and
+    of the stencil differ; it stalls when V1 misses part of W' or SUSY is
+    broken.
     """
 
-    anticommutator_residual: float
-    commutator_residual: float
-    q_squared_residual: float
+    zero_mode_residual: float
+    partner_residual: float
     discretization_gap: float
 
 
+_ALGEBRA_LEVELS = 20
+_GAP_LEVELS = 5
+
+
 def algebra_check(w: Superpotential, grid: Grid) -> AlgebraReport:
-    x = grid.points[1:-1]
-    n = x.size
-    h = grid.h
-    c = w.c
-    wv = np.asarray(w.w(x), dtype=float)
-
-    # A = c * forward difference + W  (Dirichlet: wavefunction zero off-grid)
-    A = np.zeros((n, n))
-    idx = np.arange(n)
-    A[idx, idx] = -c / h + wv
-    A[idx[:-1], idx[:-1] + 1] = c / h
-    At = A.T.copy()
-
-    H1 = At @ A
-    H2 = A @ At
-    scale = math.hypot(np.linalg.norm(H1), np.linalg.norm(H2))
-
-    # block identities: {Q,Qd} = diag(At A, A At), [H,Q] lower block = H2 A - A H1,
-    # Q^2 = 0 by the off-diagonal block structure.
-    anti = math.hypot(np.linalg.norm(At @ A - H1), np.linalg.norm(A @ At - H2)) / scale
-    comm = np.linalg.norm(H2 @ A - A @ H1) / scale
-    qsq = 0.0
-
-    # independent route: 3-point kinetic stencil plus the closed-form V1
-    lap = (
-        np.diag(np.full(n, 2.0 / h**2))
-        + np.diag(np.full(n - 1, -1.0 / h**2), 1)
-        + np.diag(np.full(n - 1, -1.0 / h**2), -1)
+    x, h, c = grid.points, grid.h, w.c
+    a = np.asarray(w.w(x[1:-2]), dtype=float) - c / h  # diagonal of A; superdiagonal c / h
+    b = c / h
+    d1 = np.append(a**2, 0.0)
+    d1[1:] += b**2
+    e1 = b * a
+    scale = float(np.max(np.abs(d1)) + 2.0 * np.max(np.abs(e1)))  # Gershgorin bound
+    lam1 = lowest_eigenvalues(d1, e1, _ALGEBRA_LEVELS + 1)
+    lam2 = lowest_eigenvalues(a**2 + b**2, b * a[1:], _ALGEBRA_LEVELS)
+    direct = lowest_eigenvalues(*dirichlet_tridiagonal(w.v1(x), h, c**2), _GAP_LEVELS)
+    return AlgebraReport(
+        zero_mode_residual=abs(float(lam1[0])) / scale,
+        partner_residual=float(np.max(np.abs(lam1[1:] - lam2))) / scale,
+        discretization_gap=float(np.max(np.abs(lam1[:_GAP_LEVELS] - direct))),
     )
-    H1_direct = c**2 * lap + np.diag(w.v1(x))
-    gap = np.linalg.norm(H1 - H1_direct) / scale
-    return AlgebraReport(anti, comm, qsq, gap)
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,8 @@
 Discretizes -c^2 d^2/dx^2 + V on a uniform grid (c^2 = hbar^2/2m) with the
 symmetric 3-point stencil, solves the tridiagonal eigenproblem, and sharpens
 eigenvalues by Richardson extrapolation between the grid and its 2h coarsening.
+dirichlet_tridiagonal is the one assembly of that stencil: the fine grid, the
+coarse grid and the direct route of core.algebra_check all use it.
 Dirichlet walls and the reduced radial problem are handled here; everything
 downstream cross-checks against this. Band edges of periodic wells come from
 the Fourier-Floquet-Hill solver in periodic.
@@ -36,13 +38,19 @@ def _c2(hbar: float, mass2: float) -> float:
     return hbar**2 / mass2
 
 
-def _dirichlet_energies(v: np.ndarray, h: float, c2: float, count: int) -> np.ndarray:
-    """Lowest eigenvalues of the 3-point Dirichlet discretization (interior nodes)."""
-    d = 2.0 * c2 / h**2 + v[1:-1]
-    e = np.full(v.size - 3, -c2 / h**2)
+def dirichlet_tridiagonal(v: np.ndarray, h: float, c2: float) -> tuple[np.ndarray, np.ndarray]:
+    """(diagonal, off-diagonal) of -c2 psi'' + V psi on the interior nodes of v.
+
+    The symmetric 3-point stencil with psi = 0 on the two end nodes of the
+    samples v, which are spaced h apart.
+    """
+    return 2.0 * c2 / h**2 + v[1:-1], np.full(v.size - 3, -c2 / h**2)
+
+
+def lowest_eigenvalues(d: np.ndarray, e: np.ndarray, count: int) -> np.ndarray:
+    """The lowest min(count, d.size) eigenvalues of the tridiagonal (d, e)."""
     count = min(count, d.size)
-    vals = eigh_tridiagonal(d, e, select="i", select_range=(0, count - 1), eigvals_only=True)
-    return vals
+    return eigh_tridiagonal(d, e, select="i", select_range=(0, count - 1), eigvals_only=True)
 
 
 def bound_states(
@@ -66,12 +74,12 @@ def bound_states(
     if count > n_int:
         raise SolverError("more states requested than interior grid points")
 
-    d = 2.0 * c2 / h**2 + vals[1:-1]
-    e = np.full(n_int - 1, -c2 / h**2)
-    energies, vecs = eigh_tridiagonal(d, e, select="i", select_range=(0, count - 1))
+    energies, vecs = eigh_tridiagonal(
+        *dirichlet_tridiagonal(vals, h, c2), select="i", select_range=(0, count - 1)
+    )
 
     if richardson and grid.n_points % 2 == 1 and grid.n_points >= 9:
-        coarse = _dirichlet_energies(vals[::2], 2 * h, c2, count)
+        coarse = lowest_eigenvalues(*dirichlet_tridiagonal(vals[::2], 2 * h, c2), count)
         k = min(count, coarse.size)
         energies = energies.copy()
         energies[:k] = (4.0 * energies[:k] - coarse[:k]) / 3.0

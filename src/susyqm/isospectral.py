@@ -152,14 +152,6 @@ class IsoFamily:
         return SampledFunction(self.grid, vals / math.sqrt(norm))
 
 
-def deformed_family(
-    w: Superpotential, grid: Grid, lams: list[float]
-) -> tuple[IsoFamily, list[SampledFunction]]:
-    """Convenience: build the family and evaluate several members at once."""
-    fam = IsoFamily.build(w, grid)
-    return fam, [fam.potential(lam) for lam in lams]
-
-
 def conserved_charges(v: SampledFunction, v_infinity: float) -> tuple[float, float]:
     """First two deformation invariants: Q1 = int (V - Vinf) dx, Q2 = int (V - Vinf)^2 dx.
 

@@ -20,6 +20,7 @@ from typing import Callable, Optional
 import numpy as np
 from scipy.linalg import eigh
 
+from .core import Superpotential
 from .eigensolver import EigenPair, SolverError
 from .grids import Grid, SampledFunction, integrate, sample
 from .scattering import propagate
@@ -52,18 +53,10 @@ class PeriodicSuperpotential:
         return integrate(sample(self.w, g))
 
     def v1(self, x):
-        return self._v(x, -1.0)
+        return Superpotential(self.w).v1(x)
 
     def v2(self, x):
-        return self._v(x, +1.0)
-
-    def _v(self, x, sign):
-        x = np.asarray(x, dtype=float)
-        h = 1e-6 * max(1.0, self.period)
-        wp = (self.w(x - 2 * h) - 8 * self.w(x - h) + 8 * self.w(x + h) - self.w(x + 2 * h)) / (
-            12 * h
-        )
-        return np.asarray(self.w(x)) ** 2 + sign * wp
+        return Superpotential(self.w).v2(x)
 
 
 def zero_mode_check(w: PeriodicSuperpotential, tol: float = 1e-10) -> str:
@@ -102,26 +95,20 @@ def classify_pair(
 
     Scans n_shifts translations per period (and the same with reflection) and
     reports ("translation", s), ("reflection", s) or ("neither", None). A
-    sampling test, not a proof.
+    pair that is both (V2 = V1(x + s) = V1(s' - x)) is a translation, whichever
+    fits closer by rounding. A sampling test, not a proof.
     """
     x = np.linspace(0.0, period, n_shifts, endpoint=False)
     t1 = np.asarray(v1(x), dtype=float)
     t2 = np.asarray(v2(x), dtype=float)
     t1r = np.roll(t1[::-1], 1)  # v1(-x) on the same cyclic grid
     scale = max(1.0, float(np.max(np.abs(t2))))
-    best = ("neither", None, math.inf)
-    for j in range(n_shifts):
-        s = j * period / n_shifts
-        # grid-aligned shifts make v1(x + s) an index roll of the samples
-        d_t = float(np.max(np.abs(np.roll(t1, -j) - t2)))
-        d_r = float(np.max(np.abs(np.roll(t1r, j) - t2)))
-        if d_t < best[2]:
-            best = ("translation", s, d_t)
-        if d_r < best[2]:
-            best = ("reflection", s, d_r)
-    kind, s, dev = best
-    if dev <= tol * scale:
-        return kind, s
+    # grid-aligned shifts make v1(+-x + s) an index roll of the samples
+    for kind, base, step in (("translation", t1, -1), ("reflection", t1r, 1)):
+        dev = [float(np.max(np.abs(np.roll(base, step * j) - t2))) for j in range(n_shifts)]
+        j = int(np.argmin(dev))
+        if dev[j] <= tol * scale:
+            return kind, j * period / n_shifts
     return "neither", None
 
 
@@ -307,6 +294,11 @@ def band_edge_states(
         h[np.diag_indices_from(h)] += (math.pi * f / period) ** 2
         energies, vecs = eigh(h, subset_by_index=(0, min(count // 2 + 2, f.size) - 1))
         levels += [(e, tag, f, c * vecs[:, i]) for i, e in enumerate(energies)]
+    if len(levels) < count:
+        raise SolverError(
+            f"{n_points} samples resolve {modes} harmonics, too few for count={count} "
+            "band edges; raise n_points"
+        )
     levels = sorted(levels, key=lambda t: t[0])[:count]
     out = []
     for (e, tag, f, coef), edge in zip(levels, _tag_edges([t[0] for t in levels])):

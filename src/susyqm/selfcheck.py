@@ -21,14 +21,13 @@ from .catalog import (
     numeric_grid,
     numeric_levels,
     shape_invariance_residual,
-    sip_eigenfunction,
     sip_lookup,
     sip_spectrum,
     well_hierarchy_potential,
 )
 from .core import algebra_check, map_to_partner, Superpotential
 from .eigensolver import bound_states
-from .grids import Grid, SampledFunction, integrate, sample
+from .grids import Grid, SampledFunction, integrate
 from .isospectral import IsoFamily, conserved_charges, pursey_abraham_moses
 from .periodic import (
     LameSpec,
@@ -294,17 +293,19 @@ def check_lame_two() -> CheckResult:
 
 
 def check_algebra() -> CheckResult:
-    """Closed superalgebra residuals on an 800-point discretization of W = x."""
+    """Bidiagonal superalgebra of W = x: exact partner spectra, O(h^2) gap to V1."""
     name = "superalgebra closure on the discretization"
     w = Superpotential(w=lambda x: x, w_prime=lambda x: np.ones_like(x))
-    report = algebra_check(w, Grid(-8.0, 8.0, 800))
-    worst = max(
-        report.anticommutator_residual, report.commutator_residual, report.q_squared_residual
-    )
+    grid = Grid(-8.0, 8.0, 800)
+    coarse, fine = algebra_check(w, grid), algebra_check(w, grid.refine())
+    worst = max(max(r.zero_mode_residual, r.partner_residual) for r in (coarse, fine))
+    # 3 sits between first order in h (ratio 2) and second order (ratio 4)
+    ratio = coarse.discretization_gap / fine.discretization_gap
     return _result(
         name,
-        worst <= 1e-8,
-        f"max algebra residual {worst:.2e} (discretization gap {report.discretization_gap:.2e})",
+        worst <= 1e-8 and ratio >= 3.0,
+        f"max algebra residual {worst:.2e} (discretization gap "
+        f"{coarse.discretization_gap:.2e} -> {fine.discretization_gap:.2e}, ratio {ratio:.2f})",
     )
 
 

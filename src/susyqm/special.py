@@ -25,19 +25,16 @@ def erfc(x):
 
 
 def elliptic_K(m: float) -> float:
-    """Complete elliptic integral of the first kind K(m), via the AGM.
+    """Complete elliptic integral of the first kind K(m) = pi / (2 a_n), via the AGM.
 
     Uses the modulus-parameter convention K(m) = F(pi/2 | m), so K(0) = pi/2
-    and K diverges logarithmically as m -> 1.
+    and K diverges logarithmically as m -> 1. a_n is the last term of the
+    Landen descent that the Jacobi functions use too.
     """
     if not 0.0 <= m < 1.0:
         raise DomainError(f"K(m) requires 0 <= m < 1, got {m}")
-    a, b = 1.0, math.sqrt(1.0 - m)
-    for _ in range(_MAX_LANDEN):
-        if abs(a - b) <= 4.0 * np.finfo(float).eps * a:
-            break
-        a, b = 0.5 * (a + b), math.sqrt(a * b)
-    return math.pi / (2.0 * a)
+    a, _ = _landen(m)
+    return math.pi / (2.0 * a[-1])
 
 
 _MAX_LANDEN = 64
@@ -68,7 +65,7 @@ def jacobi_sn_cn_dn(x, m: float):
 
 @lru_cache(maxsize=64)
 def _landen(m: float) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    """Descending Landen (AGM) sequences (a_0..a_n, c_0..c_n) for 0 < m < 1.
+    """Descending Landen (AGM) sequences (a_0..a_n, c_0..c_n) for 0 <= m < 1.
 
     The descent stops once |c_n| <= eps * a_n, where later terms vanish to
     working precision; an absolute stop never triggers for many m, because

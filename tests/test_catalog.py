@@ -110,3 +110,35 @@ def test_parameter_override():
     entry = sip_lookup("shifted_oscillator", omega=4.0)
     spec, _ = sip_spectrum(entry, 2)
     assert spec == pytest.approx([0.0, 4.0, 8.0])
+
+
+ALL_ENTRIES = [*CATALOG_NAMES, "sech2"]
+
+
+@pytest.mark.parametrize("name", ALL_ENTRIES)
+def test_entry_partner_potentials_are_the_superpotentials(name):
+    entry = sip_lookup(name)
+    x = np.linspace(*entry.box, 401)[1:-1]
+    for p in entry.param_chain(2):
+        w = entry.superpotential(p)
+        assert np.array_equal(entry.v1(x, p), w.v1(x))
+        assert np.array_equal(entry.v2(x, p), w.v2(x))
+
+
+@pytest.mark.parametrize("name", ALL_ENTRIES)
+def test_asymptotes_follow_the_parameter_chain(name):
+    entry = sip_lookup(name)
+    declared = (entry.w_minus, entry.w_plus)
+    w = entry.superpotential()
+    assert [None if v is None else v.hex() for v in (w.w_minus, w.w_plus)] == [
+        None if v is None else float(v).hex() for v in declared
+    ]
+    for p in entry.param_chain(3):
+        w = entry.superpotential(p)
+        for limit, end, d in ((w.w_minus, -1e9, declared[0]), (w.w_plus, 1e9, declared[1])):
+            if d is None:
+                assert limit is None
+            else:
+                with np.errstate(over="ignore"):  # csch(1e9) = 1 / inf
+                    far = float(entry.w_of(np.array(end), p))
+                assert limit == pytest.approx(far, abs=1e-8)

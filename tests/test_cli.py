@@ -233,3 +233,37 @@ def test_expression_failures_are_configuration_errors(capsys):
     assert main(["partner", "--w-expr", "sn(x, x)", "--grid", "-1,1,5"]) == 2
     assert main(["partner", "--w-expr", "0+" + "-" * 5000 + "x", "--grid", "-1,1,5"]) == 2
     assert "configuration error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("out_format", ["csv", "json"])
+def test_warnings_are_printed_once_on_stderr(capsys, out_format):
+    # a rough V converges only algebraically, and band_edge_states warns about it
+    argv = ["bands", "--v-expr", "abs(sin(pi*x))", "--period", "1", "--format", out_format]
+    assert main(argv) == 0
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("warning: ") and "converge only algebraically" in err[0]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["spectrum", "--potential", "morse", "--levels", "0"],
+        ["spectrum", "--potential", "morse", "--levels", "-2"],
+        ["swkb", "--potential", "morse", "--levels", "0"],
+        ["bands", "--lame", "a=1", "--count", "0"],
+        ["bands", "--lame", "a=1", "--count", "-1"],
+        ["partner", "--potential", "well", "--hierarchy", "-1"],
+        ["bands", "--lame", "a=0"],
+        ["bands", "--lame", "a=1", "--m", "0"],
+        ["bands", "--v-expr", "sin(x)^2", "--period", "pi"],
+    ],
+    ids=["levels-0", "levels-neg", "swkb-levels-0", "count-0", "count-neg", "hierarchy-neg",
+         "lame-a0", "m-0", "period-not-a-number"],
+)
+def test_bad_flag_values_are_configuration_errors(capsys, argv):
+    code = main(argv)
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == ""
+    assert err.startswith("configuration error: ") and len(err.strip().splitlines()) == 1

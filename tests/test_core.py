@@ -14,7 +14,6 @@ from susyqm.core import (
     ground_state_from_w,
     map_to_partner,
     normalized,
-    partner_potentials,
     w_from_ground_state,
 )
 from susyqm.grids import Grid, SampledFunction, integrate, sample
@@ -29,10 +28,9 @@ def oscillator_w(omega=2.0):
 
 def test_partner_potentials_oscillator():
     w = oscillator_w(2.0)
-    pair = partner_potentials(w)
     x = np.linspace(-3, 3, 7)
-    assert np.allclose(pair.v1(x), x**2 - 1.0)
-    assert np.allclose(pair.v2(x), x**2 + 1.0)
+    assert np.allclose(w.v1(x), x**2 - 1.0)
+    assert np.allclose(w.v2(x), x**2 + 1.0)
 
 
 def test_units_enter_through_c():
@@ -97,13 +95,32 @@ def test_apply_Adag_adds_node():
     assert count_nodes(up.values[5:-5]) == 1
 
 
+def _algebra_on_two_grids(w):
+    grid = Grid(-8.0, 8.0, 800)
+    return algebra_check(w, grid), algebra_check(w, grid.refine())
+
+
 def test_algebra_check_residuals():
-    w = oscillator_w(2.0)
-    rep = algebra_check(w, Grid(-6.0, 6.0, 401))
-    assert rep.anticommutator_residual < 1e-13
-    assert rep.commutator_residual < 1e-13
-    assert rep.q_squared_residual == 0.0
-    assert rep.discretization_gap < 0.2  # O(h) gap to the direct stencil
+    coarse, fine = _algebra_on_two_grids(oscillator_w(2.0))  # W = x
+    for rep in (coarse, fine):
+        assert rep.zero_mode_residual <= 1e-15
+        assert rep.partner_residual <= 1e-15
+    # second order in h: the gap to the direct V1 stencil falls about 4x
+    assert coarse.discretization_gap / fine.discretization_gap >= 3.0
+
+
+@pytest.mark.parametrize(
+    "w",
+    [
+        # V1 misses the delta function in W' at the origin
+        Superpotential(w=np.sign, w_prime=lambda x: np.zeros_like(np.asarray(x, float))),
+        Superpotential(w=np.abs),  # broken SUSY: no normalizable zero mode
+    ],
+    ids=["sign-without-delta", "abs-broken"],
+)
+def test_algebra_check_gap_stalls(w):
+    coarse, fine = _algebra_on_two_grids(w)
+    assert coarse.discretization_gap / fine.discretization_gap < 3.0
 
 
 def test_detect_breaking_unbroken_for_odd_power():

@@ -201,6 +201,12 @@ def test_numeric_band_edges_rejects_nonperiodic_samples():
         numeric_band_edges(lambda x: x, 1.0, 2, n_points=101)
 
 
+def test_numeric_band_edges_rejects_a_grid_too_small_for_count():
+    # 4 samples resolve no harmonic, which leaves the antiperiodic sector empty
+    with pytest.warns(RuntimeWarning), pytest.raises(SolverError, match="count=3"):
+        numeric_band_edges(np.zeros_like, 1.0, 3, n_points=4)
+
+
 def test_hill_discriminant_at_band_edges():
     spec = LameSpec(1, 0.6)
     for edge in lame_band_edges(spec):

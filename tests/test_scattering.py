@@ -81,11 +81,12 @@ def test_partner_phase_shift_identity():
 
 
 def test_scatter_recursion_matches_product_formula():
-    from susyqm.catalog import sip_scatter_recursion
-
-    entry = sip_lookup("sech2", B=3.0)  # p = 3 reflectionless chain
+    entry = sip_lookup("sech2", B=3.0)  # p = 3 reflectionless chain, ends at A = 0
     k = 0.9
-    r, t = sip_scatter_recursion(entry, k, 3)
+    r, t = 0j, 1.0 + 0j  # the free particle
+    for p in reversed(entry.param_chain(3)[:-1]):
+        # V2(x; A) = V1(x; A - 1) + R(A): the same k on every link, at E = k^2 + A^2
+        r, t = partner_rt(entry.superpotential(p), k**2 + p["A"] ** 2, r, t)
     assert abs(r) < 1e-12
     assert t == pytest.approx(reflectionless_T(3, k), abs=1e-10)
 
