@@ -69,7 +69,19 @@ from .scattering import (
     propagate,
     reflectionless_T,
 )
-from .swkb import Mode, QuantizationProblem, QuantizeError, exactness_audit, quantize
+
+# swkb needs scipy.optimize, which most commands never use: its names are
+# imported on first access (PEP 562) rather than with the package.
+_SWKB_NAMES = ("Mode", "QuantizationProblem", "QuantizeError", "exactness_audit", "quantize")
+
+
+def __getattr__(name):
+    if name in _SWKB_NAMES:
+        from . import swkb
+
+        return getattr(swkb, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "__version__",

@@ -4,6 +4,8 @@ Outputs are deterministic CSV (17 significant digits) or a JSON envelope that
 echoes the inputs and carries per-operation outputs plus discretization
 diagnostics. Exit codes: 0 success, 1 numeric failure, 2 configuration error.
 Each distinct warning a run raises is printed once on stderr as "warning: ...".
+A reader that closes stdout early (`susyqm check | head -3`) ends the run
+quietly with exit 1. scipy subpackages load only in the commands that use them.
 """
 
 from __future__ import annotations
@@ -33,10 +35,9 @@ from .core import Superpotential
 from .eigensolver import SolverError
 from .expressions import ExpressionError, compile_expression
 from .grids import Grid, GridError, SampledFunction
-from .isospectral import IsoFamily, IsospectralError
+from .isospectral import IsoFamily, IsospectralError, admissible
 from .periodic import LameSpec, PeriodicError, lame_band_edges, lame_potential, numeric_band_edges
 from .scattering import ScatterError, numeric_rt_for
-from .swkb import Mode, QuantizeError, WKB_APPLICABLE, problem_for_entry, quantize
 
 _NUMERIC_ERRORS = (
     CatalogError,
@@ -45,8 +46,7 @@ _NUMERIC_ERRORS = (
     IsospectralError,
     PeriodicError,
     ScatterError,
-    QuantizeError,
-    ValueError,
+    ValueError,  # also swkb.QuantizeError, which is imported only by swkb runs
 )
 
 
@@ -227,6 +227,9 @@ def _cmd_spectrum(cfg: RunConfig) -> int:
 
 
 def _cmd_scatter(cfg: RunConfig) -> int:
+    ks = _parse_floats(cfg.extra.get("k", "0.5,1,2"), "--k")
+    if any(k <= 0 for k in ks):
+        raise ConfigError(f"--k must be positive incident momenta, got {cfg.extra['k']}")
     w, grid = _superpotential_from_config(cfg)
     if w.w_minus is None and cfg.w_expr is not None:
         wm = float(w.w(np.array(grid.x_min)))
@@ -239,7 +242,6 @@ def _cmd_scatter(cfg: RunConfig) -> int:
             f"potential {cfg.potential!r} has no finite superpotential asymptotes; "
             "scattering needs a full-line entry such as sech2 or rosen_morse2"
         )
-    ks = _parse_floats(cfg.extra.get("k", "0.5,1,2"), "--k")
     side = cfg.extra["side"]
     steps = cfg.extra["steps"]
     rows, flux_defect = [], []
@@ -259,6 +261,9 @@ def _cmd_scatter(cfg: RunConfig) -> int:
                 amp.transmission_probability,
             ]
         )
+    bad = ~np.isfinite(rows).all(axis=1)
+    if bad.any():
+        raise ValueError(f"scatter output is not finite at k = {_fmt(np.asarray(ks)[bad][0])}")
     _emit(
         cfg,
         ["k", "energy", "re_r", "im_r", "re_t", "im_t", "prob_r", "prob_t"],
@@ -269,8 +274,11 @@ def _cmd_scatter(cfg: RunConfig) -> int:
 
 
 def _cmd_isospectral(cfg: RunConfig) -> int:
-    w, grid = _superpotential_from_config(cfg)
     lams = _parse_floats(cfg.extra.get("lambdas", "0.5,1,5"), "--lambdas")
+    bad = [lam for lam in lams if math.isfinite(lam) and not admissible(lam)]
+    if bad:
+        raise ConfigError(f"--lambdas {_fmt(bad[0])} is not admissible: need lam > 0 or lam < -1")
+    w, grid = _superpotential_from_config(cfg)
     fam = IsoFamily.build(w, grid)
     columns = ["x"]
     series = [grid.points]
@@ -283,6 +291,8 @@ def _cmd_isospectral(cfg: RunConfig) -> int:
 
 
 def _cmd_swkb(cfg: RunConfig) -> int:
+    from .swkb import Mode, WKB_APPLICABLE, problem_for_entry, quantize
+
     if cfg.potential is None:
         raise ConfigError("swkb needs a catalog --potential")
     entry = _lookup(cfg)
@@ -328,8 +338,10 @@ def _cmd_bands(cfg: RunConfig) -> int:
         return 0
     expr = cfg.extra.get("v_expr")
     period = cfg.extra.get("period")
-    if not expr or not period:
+    if not expr or period is None:
         raise ConfigError("bands needs either --lame a=N [--m M] or --v-expr with --period")
+    if period <= 0:
+        raise ConfigError(f"--period must be positive, got {_fmt(period)}")
     v = compile_expression(expr, cfg.params)
     n_edges = 5 if count is None else count
     numeric = numeric_band_edges(v, period, n_edges, n_points=1201)
@@ -472,13 +484,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("scatter", help="reflection/transmission amplitudes")
     common(p)
-    p.add_argument("--k", help="comma-separated incident momenta (default 0.5,1,2)")
+    p.add_argument("--k", help="comma-separated positive incident momenta (default 0.5,1,2)")
     p.add_argument("--side", type=int, choices=(1, 2), default=1)
     p.add_argument("--steps", type=_int_from(1), default=8000)
 
     p = sub.add_parser("isospectral", help="one-parameter isospectral family curves")
     common(p)
-    p.add_argument("--lambdas", help="comma-separated deformation parameters")
+    p.add_argument("--lambdas", help="comma-separated deformation parameters, each > 0 or < -1")
 
     p = sub.add_parser("swkb", help="semiclassical vs exact level table")
     common(p)
@@ -490,7 +502,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=float, help="elliptic parameter in (0,1)")
     p.add_argument("--count", type=_int_from(1), help="number of edges")
     p.add_argument("--v-expr", dest="v_expr", help="inline periodic potential expression")
-    p.add_argument("--period", type=float, help="period of --v-expr")
+    p.add_argument("--period", type=float, help="period of --v-expr, > 0")
 
     p = sub.add_parser("figures", help="write plot-ready data files plus a manifest")
     common(p)
@@ -571,6 +583,18 @@ def _attach_negative_values(argv: list[str]) -> list[str]:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
+    try:
+        code = _run(argv)
+        sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
+    except BrokenPipeError:
+        # the reader has gone; send the rest of stdout to devnull so the
+        # interpreter's final flush stays quiet (Python docs, signal module)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    return code
+
+
+def _run(argv: Optional[list[str]]) -> int:
     parser = _build_parser()
     argv = _attach_negative_values(sys.argv[1:] if argv is None else list(argv))
     try:

@@ -17,7 +17,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 from .grids import Grid, SampledFunction, count_nodes, integrate, sample
 
@@ -49,6 +48,8 @@ def dirichlet_tridiagonal(v: np.ndarray, h: float, c2: float) -> tuple[np.ndarra
 
 def lowest_eigenvalues(d: np.ndarray, e: np.ndarray, count: int) -> np.ndarray:
     """The lowest min(count, d.size) eigenvalues of the tridiagonal (d, e)."""
+    from scipy.linalg import eigh_tridiagonal  # imported on use: keeps scipy off the CLI's start-up
+
     count = min(count, d.size)
     return eigh_tridiagonal(d, e, select="i", select_range=(0, count - 1), eigvals_only=True)
 
@@ -67,6 +68,8 @@ def bound_states(
     against the 2h coarsening when the point count allows it. States above the
     smaller of the two edge potential values are flagged as not bound.
     """
+    from scipy.linalg import eigh_tridiagonal
+
     grid, vals = v.grid, v.values
     h = grid.h
     c2 = _c2(hbar, mass2)

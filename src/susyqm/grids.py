@@ -10,7 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import cumulative_simpson
 
 
 class GridError(ValueError):
@@ -105,9 +104,22 @@ def integrate(f: SampledFunction) -> float:
 
 
 def cumulative_integral(f: SampledFunction) -> SampledFunction:
-    """Running integral from x_min, Simpson-based, zero at the left edge."""
-    vals = cumulative_simpson(f.values, dx=f.grid.h, initial=0.0)
-    return SampledFunction(f.grid, vals)
+    """Running integral from x_min, Simpson-based, zero at the left edge.
+
+    Each interval [x_i, x_i+1] gets the 3-point sub-integral
+    h/12 (5 f_near + 8 f_mid - f_far), its third node taken to the right on
+    even intervals and to the left on odd ones and the last, and the pieces
+    are summed (Cartwright's scheme: the arithmetic of
+    scipy.integrate.cumulative_simpson at equal spacing, bit for bit).
+    """
+    y, h = f.values, f.grid.h
+    forward = h / 3 * (5 * y[:-2] / 4 + 2 * y[1:-1] - y[2:] / 4)  # [x_i, x_i+1]
+    backward = h / 3 * (5 * y[2:] / 4 + 2 * y[1:-1] - y[:-2] / 4)  # [x_i+1, x_i+2]
+    pieces = np.empty(y.size - 1)
+    pieces[:-1:2] = forward[::2]
+    pieces[1::2] = backward[::2]
+    pieces[-1] = backward[-1]
+    return SampledFunction(f.grid, np.concatenate(([0.0], np.cumsum(pieces))))
 
 
 def derivative(f: SampledFunction) -> SampledFunction:

@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.linalg import eigh
 
 from .core import Superpotential
 from .eigensolver import EigenPair, SolverError
@@ -261,6 +260,8 @@ def band_edge_states(
     V's harmonics have not decayed (a step, say), the edges converge only
     algebraically in n_points, and a RuntimeWarning says so.
     """
+    from scipy.linalg import eigh
+
     grid = Grid(0.0, period, n_points)
     vals = sample(v, grid).values
     if abs(vals[0] - vals[-1]) > 1e-8 * (1 + abs(vals[0])):

@@ -1,10 +1,16 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from susyqm.cli import main
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 def run(capsys, *argv):
@@ -100,6 +106,13 @@ def test_scatter_non_finite_potential_is_a_numeric_failure(capsys):
     assert "not finite at x" in err
 
 
+def test_scatter_non_finite_momentum_is_a_numeric_failure(capsys):
+    code = main(["scatter", "--potential", "sech2", "--k", "nan"])
+    out, err = capsys.readouterr()
+    assert code == 1
+    assert out == "" and "not finite at k = nan" in err
+
+
 def test_scatter_steps_must_be_positive(capsys):
     assert main(["scatter", "--potential", "sech2", "--steps", "0"]) == 2
     assert "--steps" in capsys.readouterr().err
@@ -112,6 +125,14 @@ def test_swkb_table(capsys):
     for n, e_exact, e_swkb, e_wkb in rows:
         assert e_swkb == pytest.approx(e_exact, abs=1e-7)
         assert e_wkb == pytest.approx(e_exact, abs=1e-7)
+
+
+def test_swkb_quantize_failure_is_a_numeric_failure(capsys):
+    # level 2 of this sech2 well sits 4e-8 below the continuum, inside the quantizer's guard
+    code = main(["swkb", "--potential", "sech2", "--params", "B=2.00000001", "--levels", "3"])
+    out, err = capsys.readouterr()
+    assert code == 1
+    assert out == "" and err.startswith("numeric failure in swkb: level n=2")
 
 
 def test_isospectral_columns(capsys):
@@ -257,9 +278,14 @@ def test_warnings_are_printed_once_on_stderr(capsys, out_format):
         ["bands", "--lame", "a=0"],
         ["bands", "--lame", "a=1", "--m", "0"],
         ["bands", "--v-expr", "sin(x)^2", "--period", "pi"],
+        ["scatter", "--potential", "sech2", "--k=-1,1"],
+        ["scatter", "--potential", "sech2", "--k", "0"],
+        ["isospectral", "--potential", "sech2", "--lambdas", "1,-0.5"],
+        ["isospectral", "--potential", "sech2", "--lambdas", "-1"],
     ],
     ids=["levels-0", "levels-neg", "swkb-levels-0", "count-0", "count-neg", "hierarchy-neg",
-         "lame-a0", "m-0", "period-not-a-number"],
+         "lame-a0", "m-0", "period-not-a-number", "k-neg", "k-0",
+         "lambda-inadmissible", "lambda-minus-one"],
 )
 def test_bad_flag_values_are_configuration_errors(capsys, argv):
     code = main(argv)
@@ -267,3 +293,36 @@ def test_bad_flag_values_are_configuration_errors(capsys, argv):
     assert code == 2
     assert out == ""
     assert err.startswith("configuration error: ") and len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("period", ["-3", "0"])
+def test_bands_period_must_be_positive(capsys, period):
+    # 0 is a given --period, not a missing one; -3 is refused before any grid is built
+    assert main(["bands", "--v-expr", "sin(x)^2", "--period", period]) == 2
+    assert capsys.readouterr().err == f"configuration error: --period must be positive, got {period}\n"
+
+
+@pytest.mark.parametrize(
+    "argv, first",
+    [
+        (["check"], "PASS  well ladder"),
+        (["partner", "--potential", "well", "--params", "L=pi", "--hierarchy", "3"], "x,v"),
+    ],
+    ids=["check", "partner"],
+)
+def test_closed_stdout_ends_the_run_quietly(argv, first):
+    # unbuffered, so every line is written as it is printed and the pipe closes mid-run
+    env = dict(os.environ, PYTHONUNBUFFERED="1")
+    env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "susyqm.cli", *argv],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    line = proc.stdout.readline().decode()
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.wait(timeout=120)
+    assert line.startswith(first)
+    assert err == ""

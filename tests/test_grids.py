@@ -58,6 +58,16 @@ def test_cumulative_integral_endpoints():
     assert np.allclose(cum.values, g.points**2, atol=1e-8)
 
 
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 2001, 4000])
+def test_cumulative_integral_is_scipys_cumulative_simpson(n):
+    from scipy.integrate import cumulative_simpson
+
+    g = Grid(-2.0, 3.0, n)
+    f = sample(lambda x: np.exp(-x * x) + 0.3 * np.cos(5 * x) + 0.5, g)  # positive: rtol is meaningful
+    ours = cumulative_integral(f).values
+    np.testing.assert_allclose(ours, cumulative_simpson(f.values, dx=g.h, initial=0.0), rtol=1e-15, atol=0)
+
+
 def test_derivative_fourth_order():
     g = Grid(-1.0, 1.0, 101)
     f = sample(np.sin, g)
