@@ -70,8 +70,9 @@ from .scattering import (
     reflectionless_T,
 )
 
-# swkb needs scipy.optimize, which most commands never use: its names are
-# imported on first access (PEP 562) rather than with the package.
+# swkb needs scipy.optimize, and no command solves a callable V with the
+# spectral engine: their names are imported on first access (PEP 562) rather
+# than with the package.
 _SWKB_NAMES = ("Mode", "QuantizationProblem", "QuantizeError", "exactness_audit", "quantize")
 
 
@@ -80,6 +81,10 @@ def __getattr__(name):
         from . import swkb
 
         return getattr(swkb, name)
+    if name == "spectral_bound_states":
+        from .spectral import spectral_bound_states
+
+        return spectral_bound_states
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
@@ -143,6 +148,7 @@ __all__ = [
     "sip_eigenfunction",
     "sip_lookup",
     "sip_spectrum",
+    "spectral_bound_states",
     "w_from_ground_state",
     "well_hierarchy_potential",
 ]

@@ -53,7 +53,7 @@ class SipEntry:
     w_minus: Optional[float] = None  # finite asymptote => scattering supported
     w_plus: Optional[float] = None
     box: tuple[float, float] = (-10.0, 10.0)  # numeric window (walls clipped to domain)
-    n_points: int = 4001  # default resolution for the numeric cross-check
+    n_points: int = 4001  # grid of numeric_levels' psi (and samples for two-wall wells)
     radial: bool = False
 
     def superpotential(self, params: Optional[dict] = None) -> Superpotential:
@@ -259,7 +259,6 @@ def _eckart(A=2.0, B=25.0, alpha=1.0):
         n_bound=_strict_count((math.sqrt(B) - A) / alpha),
         w_plus=-A + B / A,
         box=(0.0, 22.0 / alpha),
-        n_points=16001,  # steep near-origin states need the finer stencil
         radial=True,
     )
 
@@ -466,21 +465,33 @@ def well_hierarchy_potential(p: int, L: float = math.pi):
 def numeric_levels(
     entry: SipEntry, count: int, n_points: Optional[int] = None, params: Optional[dict] = None
 ) -> list[EigenPair]:
-    """Numeric spectrum of V1 on the entry's suggested box (independent oracle)."""
+    """Numeric spectrum of V1 on the entry's box (independent oracle).
+
+    Wells with no wall use the sine DVR on the box, wells with a wall only at
+    the left end the Lagrange-Laguerre mesh on [box[0], inf), whose scales the
+    box length sets. Those levels converge to 1e-10 relative, and n_points only
+    sets the grid psi is returned on. Wells with two walls use the
+    finite-difference solver on n_points samples of the box.
+    """
     p = dict(entry.params if params is None else params)
-    lo, hi = entry.box
-    grid = Grid(lo, hi, entry.n_points if n_points is None else n_points)
+    n_points = entry.n_points if n_points is None else n_points
+    if not entry.wall_hi:
+        from .spectral import spectral_bound_states
+
+        return spectral_bound_states(
+            lambda x: entry.v1(x, p),
+            entry.box,
+            count,
+            half_line=entry.wall_lo,
+            n_points=n_points,
+        )
+    grid = Grid(*entry.box, n_points)
     x = grid.points.copy()
     if entry.wall_lo:
         x[0] = x[1]
-    if entry.wall_hi:
-        x[-1] = x[-2]
+    x[-1] = x[-2]
     vals = np.asarray(entry.v1(x, p), dtype=float)
-    return bound_states(
-        SampledFunction(grid, vals),
-        count,
-        check_decay=not (entry.wall_lo or entry.wall_hi),
-    )
+    return bound_states(SampledFunction(grid, vals), count, check_decay=False)
 
 
 def numeric_grid(entry: SipEntry, n_points: int = 4001) -> Grid:

@@ -1,20 +1,21 @@
-"""Independent numerical oracle for bound states.
+"""Bound states of -c^2 psi'' + V psi = E psi from samples of V, and the level type.
 
-Discretizes -c^2 d^2/dx^2 + V on a uniform grid (c^2 = hbar^2/2m) with the
-symmetric 3-point stencil, solves the tridiagonal eigenproblem, and sharpens
-eigenvalues by Richardson extrapolation between the grid and its 2h coarsening.
+bound_states solves sampled potentials (deformed families, wells with two
+walls) with the symmetric 3-point stencil, and sharpens eigenvalues by
+Richardson extrapolation between the grid and its 2h coarsening.
 dirichlet_tridiagonal is the one assembly of that stencil: the fine grid, the
 coarse grid and the direct route of core.algebra_check all use it.
-Dirichlet walls and the reduced radial problem are handled here; everything
-downstream cross-checks against this. Band edges of periodic wells come from
-the Fourier-Floquet-Hill solver in periodic.
+EigenPair is the level type of every solver. A callable V on a box or a half
+line goes to the spectral engine in spectral; band edges of periodic wells
+come from the Fourier-Floquet-Hill solver in periodic.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import Callable, Union
 
 import numpy as np
 
@@ -27,14 +28,31 @@ class SolverError(ValueError):
 
 @dataclass(frozen=True)
 class EigenPair:
+    """One level. The second field is psi itself or a zero-argument callable
+    that builds it on first read of .psi. error_estimate is the solver's own
+    estimate of the error in energy (NaN when it has none)."""
+
     energy: float
-    psi: SampledFunction
+    _psi: Union[SampledFunction, Callable[[], SampledFunction]] = field(repr=False)
     nodes: int
     bound: bool = True
+    error_estimate: float = math.nan
+
+    @property
+    def psi(self) -> SampledFunction:
+        if callable(self._psi):
+            object.__setattr__(self, "_psi", self._psi())
+        return self._psi
 
 
 def _c2(hbar: float, mass2: float) -> float:
     return hbar**2 / mass2
+
+
+def _flip_sign(values: np.ndarray) -> float:
+    """-1 if the first lobe above half the peak is negative, else +1."""
+    mag = np.abs(values)
+    return -1.0 if values[np.argmax(mag > 0.5 * np.max(mag))] < 0 else 1.0
 
 
 def dirichlet_tridiagonal(v: np.ndarray, h: float, c2: float) -> tuple[np.ndarray, np.ndarray]:
@@ -65,7 +83,8 @@ def bound_states(
     """Lowest `count` Dirichlet eigenpairs of -c^2 psi'' + V psi = E psi.
 
     Eigenvectors come from the fine grid; energies are Richardson-extrapolated
-    against the 2h coarsening when the point count allows it. States above the
+    against the 2h coarsening when the point count allows it, and then each
+    level's error estimate is |E_Richardson - E_fine|. States above the
     smaller of the two edge potential values are flagged as not bound.
     """
     from scipy.linalg import eigh_tridiagonal
@@ -80,12 +99,15 @@ def bound_states(
     energies, vecs = eigh_tridiagonal(
         *dirichlet_tridiagonal(vals, h, c2), select="i", select_range=(0, count - 1)
     )
+    errors = np.full(count, math.nan)
 
     if richardson and grid.n_points % 2 == 1 and grid.n_points >= 9:
         coarse = lowest_eigenvalues(*dirichlet_tridiagonal(vals[::2], 2 * h, c2), count)
         k = min(count, coarse.size)
+        fine = energies[:k]
         energies = energies.copy()
-        energies[:k] = (4.0 * energies[:k] - coarse[:k]) / 3.0
+        energies[:k] = (4.0 * fine - coarse[:k]) / 3.0
+        errors[:k] = np.abs(energies[:k] - fine)
 
     continuum_edge = min(vals[0], vals[-1])
     pairs = []
@@ -94,8 +116,7 @@ def bound_states(
         psi[1:-1] = vecs[:, i]
         norm = integrate(SampledFunction(grid, psi**2))
         psi /= math.sqrt(norm)
-        if psi[np.argmax(np.abs(psi) > 0.5 * np.max(np.abs(psi)))] < 0:
-            psi = -psi
+        psi *= _flip_sign(psi)
         bound = energies[i] < continuum_edge
         if check_decay and bound:
             edge_amp = max(abs(psi[1]), abs(psi[-2]))
@@ -105,7 +126,13 @@ def bound_states(
                     stacklevel=2,
                 )
         pairs.append(
-            EigenPair(float(energies[i]), SampledFunction(grid, psi), count_nodes(psi[1:-1]), bound)
+            EigenPair(
+                float(energies[i]),
+                SampledFunction(grid, psi),
+                count_nodes(psi[1:-1]),
+                bound,
+                float(errors[i]),
+            )
         )
     return pairs
 
@@ -123,29 +150,4 @@ def bound_states_of(
     """Convenience wrapper: sample a callable potential, then solve."""
     return bound_states(
         sample(v_callable, Grid(x_min, x_max, n_points)), count, hbar, mass2, **kw
-    )
-
-
-def radial_bound_states(
-    v_radial,
-    l: int,
-    count: int,
-    r_max: float,
-    n_points: int = 4001,
-    hbar: float = 1.0,
-    mass2: float = 1.0,
-) -> list[EigenPair]:
-    """Reduced radial problem: effective potential V(r) + c^2 l(l+1)/r^2.
-
-    Dirichlet wall exactly at r = 0 (correct for the reduced wave function,
-    which vanishes as r^{l+1}); the singular node at the origin never enters
-    the interior stencil and carries a sentinel value.
-    """
-    c2 = _c2(hbar, mass2)
-    grid = Grid(0.0, r_max, n_points)
-    r = grid.points.copy()
-    r[0] = r[1]  # sentinel; the origin value is outside the Dirichlet stencil
-    veff = np.asarray(v_radial(r), dtype=float) + c2 * l * (l + 1) / r**2
-    return bound_states(
-        SampledFunction(grid, veff), count, hbar, mass2, check_decay=False
     )

@@ -37,14 +37,12 @@ def test_oscillator_spectrum():
 
 
 def test_coulomb_spectrum():
+    # the Laguerre mesh has no box to truncate the high levels: absolute agreement
     entry = sip_lookup("coulomb")
-    spec, _ = sip_spectrum(entry, 2)
-    # relative to the ground level: E_n = 1/1 - 1/(n+1)^2 in these units... the
-    # entry stores the ground state at zero, so check gaps against the numeric solver
-    numeric = numeric_levels(entry, 3)
-    gaps_closed = [spec[i + 1] - spec[i] for i in range(2)]
-    gaps_num = [numeric[i + 1].energy - numeric[i].energy for i in range(2)]
-    assert gaps_closed == pytest.approx(gaps_num, abs=5e-5)
+    spec, _ = sip_spectrum(entry, 5)
+    numeric = numeric_levels(entry, 6)
+    assert [p.energy for p in numeric] == pytest.approx(spec, abs=1e-8)
+    assert [p.nodes for p in numeric] == list(range(6))
 
 
 def test_morse_truncation():
@@ -54,15 +52,47 @@ def test_morse_truncation():
     assert truncated and len(spec) == 3
 
 
+SPECTRAL_ENTRIES = [n for n in CATALOG_NAMES if not sip_lookup(n).wall_hi]
+
+
 def test_numeric_agreement_all_entries():
     for name in CATALOG_NAMES:
         entry = sip_lookup(name)
         count = min(3, entry.n_bound or 3)
         spec, _ = sip_spectrum(entry, count - 1)
         numeric = numeric_levels(entry, count)
-        for e_closed, pair in zip(spec, numeric):
-            shift = numeric[0].energy - spec[0]
-            assert pair.energy - shift == pytest.approx(e_closed, abs=5e-4), name
+        for n, (e_closed, pair) in enumerate(zip(spec, numeric)):
+            assert pair.nodes == n, name
+            if name in SPECTRAL_ENTRIES:
+                assert pair.energy == pytest.approx(e_closed, abs=1e-8), name
+            else:  # finite differences between two walls
+                shift = numeric[0].energy - spec[0]
+                assert pair.energy - shift == pytest.approx(e_closed, abs=5e-4), name
+
+
+def test_spectral_dispatch_covers_eight_entries():
+    assert sorted(set(CATALOG_NAMES) - set(SPECTRAL_ENTRIES)) == ["rosen_morse1", "scarf1"]
+
+
+def _decades(a: float, b: float, floor: float = 1e-12) -> float:
+    return abs(math.log10(max(a, floor) / max(b, floor)))
+
+
+@pytest.mark.parametrize("name", CATALOG_NAMES)
+def test_error_estimate_tracks_the_true_error(name):
+    """The spectral estimate (the level change from N/2 to N) is within two
+    decades of the true error, where anything below 1e-12 counts as 1e-12.
+    The finite-difference estimate |E_Richardson - E_fine| measures the error
+    of the fine-grid level, so it only bounds the extrapolated level's error."""
+    entry = sip_lookup(name)
+    count = min(3, entry.n_bound or 3)
+    spec, _ = sip_spectrum(entry, count - 1)
+    for pair, e_closed in zip(numeric_levels(entry, count), spec):
+        err = abs(pair.energy - e_closed)
+        if name in SPECTRAL_ENTRIES:
+            assert _decades(pair.error_estimate, err) <= 2.0, (err, pair.error_estimate)
+        else:
+            assert err <= pair.error_estimate < 1e-4, (err, pair.error_estimate)
 
 
 def test_eigenfunction_nodes_and_norm():

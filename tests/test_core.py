@@ -12,6 +12,7 @@ from susyqm.core import (
     apply_Adag,
     detect_breaking,
     ground_state_from_w,
+    map_from_partner,
     map_to_partner,
     normalized,
     w_from_ground_state,
@@ -83,6 +84,22 @@ def test_partner_mapping_preserves_norm_and_energy():
     mapped = map_to_partner(w, normalized(lv1[1].psi), lv1[1].energy)
     overlap = integrate(SampledFunction(grid, mapped.values * lv2[0].psi.values))
     assert abs(abs(overlap) - 1.0) < 1e-6
+
+
+@pytest.mark.parametrize("name", ["shifted_oscillator", "scarf2"])
+def test_partner_mapping_round_trip(name):
+    # A then Adag, each with E^{-1/2}: Adag A psi / E = H1 psi / E = psi on the V1 side
+    from susyqm.catalog import numeric_levels, sip_lookup
+
+    entry = sip_lookup(name)
+    w = entry.superpotential()
+    for pair in numeric_levels(entry, 3, n_points=4001)[1:]:
+        there = map_to_partner(w, pair.psi, pair.energy)
+        back = map_from_partner(w, there, pair.energy)
+        assert np.max(np.abs(back.values - pair.psi.values)) <= 1e-6
+        assert np.max(np.abs(there.values)) > 0.1  # the partner state is not zero
+    with pytest.raises(SusyError):
+        map_from_partner(w, pair.psi, 0.0)
 
 
 def test_apply_Adag_adds_node():

@@ -64,3 +64,16 @@ def test_swkb_names_are_served_by_the_package():
     assert all(name in namespace for name in susyqm.__all__)
     with pytest.raises(AttributeError):
         susyqm.no_such_name
+
+
+def test_the_cli_does_not_load_the_spectral_engine():
+    # no command solves a callable V; a process that never does should not compile it
+    env = dict(os.environ)
+    env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
+    probe = "import sys, susyqm.cli; print('susyqm.spectral' in sys.modules)"
+    res = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env, timeout=120)
+    assert res.stdout.strip() == "False", res.stderr
+    from susyqm import spectral_bound_states
+    from susyqm.spectral import spectral_bound_states as engine
+
+    assert spectral_bound_states is engine
