@@ -1,6 +1,7 @@
-"""Spectral bound-state engine for a callable V: -c2 psi'' + V psi = E psi.
+"""Spectral bound-state engine for a callable V: -psi'' + V psi = E psi.
 
-Two bases, chosen by where the walls are:
+Units are the catalog's, hbar = 2m = 1. Two bases, chosen by where the walls
+are:
 
 - the sine DVR (Colbert & Miller, J. Chem. Phys. 96 (1992) 1982, App. A) on a
   finite box, with Dirichlet walls exactly at the box ends, for wells with no
@@ -34,7 +35,10 @@ from .grids import Grid, SampledFunction, count_nodes
 SPECTRAL_TOL = 1e-10  # level change between N/2 and N, relative to max(1, |E|)
 SPECTRAL_CAP = 1024  # largest basis size N
 _N_START = 16
-LAGUERRE_SCALES = (40, 80, 160, 320, 640)  # mesh scale = box length / s
+# mesh scale = box length / s. Over the 480 half-line draws of perfbench's
+# spectra_grid, seeds 1-30, a scale of 1/320 won 7 and 1/640 none; without
+# them every draw still converges, 6 of them at the next N.
+LAGUERRE_SCALES = (40, 80, 160)
 _CHUNK = 1 << 18  # matrix entries per chunk when a Laguerre psi is built
 
 
@@ -68,6 +72,12 @@ def _potential_at(v, x: np.ndarray) -> np.ndarray:
     return vx
 
 
+def _toeplitz_plus_hankel(t: np.ndarray, hk: np.ndarray, size: int) -> np.ndarray:
+    """M_ij = t[size - 1 + j - i] + hk[i + j] for i, j = 0..size-1 (a new array)."""
+    windows = np.lib.stride_tricks.sliding_window_view
+    return windows(t, size)[::-1] + windows(hk, size)
+
+
 def _dst1(y: np.ndarray) -> np.ndarray:
     """sum_j y_j sin(pi j k / (n + 1)) for j, k = 1..n (DST-I), through one real FFT."""
     n = y.size
@@ -84,36 +94,44 @@ class _SineDVR:
     def __init__(self, lo: float, hi: float):
         self.lo, self.length = lo, hi - lo
 
-    def levels(self, v, n: int, c2: float, count: int) -> list[_Levels]:
+    def levels(self, v, n: int, count: int) -> list[_Levels]:
         m = n + 1
         # nodes placed as mirror images about the centre, so an even V is seen as even
         x = (self.lo + 0.5 * self.length) + 0.5 * self.length * (np.arange(2 - m, m, 2) / m)
         vx = _potential_at(v, x)
-        # T_ij = p(|i-j|) - p(i+j) with p(k) = (-1)^k / sin^2(pi k / 2m), p(0) = (2m^2+1)/3
+        # T_ij = p(|i-j|) - p(i+j+2) for i, j = 0..n-1, with
+        # p(k) = (-1)^k / sin^2(pi k / 2m), p(0) = (2m^2+1)/3, in units of (pi/L)^2/2
         k = np.arange(2 * m)
         with np.errstate(divide="ignore"):
             p = np.where(k % 2, -1.0, 1.0) / np.sin(np.pi * k / (2 * m)) ** 2
         p[0] = (2.0 * m * m + 1.0) / 3.0
-        windows = np.lib.stride_tricks.sliding_window_view
-        toeplitz = windows(np.concatenate((p[n - 1 : 0 : -1], p[:n])), n)[::-1]
-        h = toeplitz - windows(p[2 : 2 * n + 1], n)
-        h *= 0.5 * c2 * (math.pi / self.length) ** 2
-        h[np.diag_indices(n)] += vx
-        if np.array_equal(vx, vx[::-1]):
-            # H commutes with the reflection J: even states [u; Ju] and odd
-            # states [u; -Ju] come from two blocks of half the size
+        unit = 0.5 * (math.pi / self.length) ** 2
+        if not np.array_equal(vx, vx[::-1]):
+            d = np.arange(1 - n, n)
+            h = _toeplitz_plus_hankel(p[np.abs(d)], -p[2 : 2 * n + 1], n)
+            h *= unit
+            h[np.diag_indices(n)] += vx
+            energies, coef = _eigh_lowest(h, count)
+        else:
+            # H commutes with the reflection J: the even states [u; Ju] and the
+            # odd states [u; -Ju] come from the blocks A +- B of half the size,
+            # B_ij = T(i, n-1-j), assembled without the full matrix (n is a
+            # power of two, so even)
             half = n // 2
-            a, b = h[:half, :half], h[:half, half:][:, ::-1]
+            d, j = np.arange(1 - half, half), np.arange(n - 1)
             energies, coef = [], []
             for s in (1.0, -1.0):
-                e, u = _eigh_lowest(a + s * b, min(count, half))
+                block = _toeplitz_plus_hankel(
+                    p[np.abs(d)] - s * p[n + 1 - d], s * p[n - 1 - j] - p[j + 2], half
+                )
+                block *= unit
+                block[np.diag_indices(half)] += vx[:half]
+                e, u = _eigh_lowest(block, min(count, half))
                 energies.append(e)
                 coef.append(np.vstack((u, s * u[::-1])) / math.sqrt(2.0))
             energies, coef = np.concatenate(energies), np.hstack(coef)
             order = np.argsort(energies, kind="stable")[:count]
             energies, coef = energies[order], coef[:, order]
-        else:
-            energies, coef = _eigh_lowest(h, count)
         return [
             _Levels(
                 energies,
@@ -176,14 +194,21 @@ def _laguerre_nodes(n: int, alpha: float) -> tuple[np.ndarray, np.ndarray]:
 def _wall_exponent(v, lo: float, length: float) -> float:
     """alpha = sqrt(1 + 4g) - 1 for V ~ g / (r - lo)^2 at the wall, so psi ~ (r - lo)^(1+alpha/2).
 
-    g is read off two points next to the wall, (r - lo)^2 V extrapolated to the
-    wall linearly; a V that stays finite there, or goes as 1/(r - lo), gives g = 0.
+    g is (r - lo)^2 V extrapolated to the wall by the cubic through
+    r - lo = rho, 2 rho, 4 rho, 8 rho, which leaves O(rho^4) of a V that goes as
+    g/r^2 + c/r + d + .... rho is 1e-5 of the box length, but at least 100
+    times the step 1e-6 max(1, |r|) with which core differentiates a W that
+    has no w_prime, so a V1 built that way neither samples W beyond the wall
+    nor carries more than a few 1e-8 of relative error there. A V that stays
+    finite at the wall gives g = 0.
     """
-    rho = 1e-7 * length * np.array([1.0, 2.0])
-    with np.errstate(over="ignore"):
+    rho = max(1e-5 * length, 1e-4 * max(1.0, abs(lo))) * np.array([1.0, 2.0, 4.0, 8.0])
+    with np.errstate(over="ignore", invalid="ignore"):
         f = rho**2 * np.asarray(v(lo + rho), dtype=float)
-    g = 2.0 * f[0] - f[1]
-    if not g > -0.25:  # also NaN
+    if not np.all(np.isfinite(f)):
+        raise SolverError(f"V is not finite next to the wall, at r - lo = {rho[0]:.6g}")
+    g = float(np.dot([64.0, -56.0, 14.0, -1.0], f)) / 21.0  # the cubic's value at r = lo
+    if not g > -0.25:
         raise SolverError(f"V ~ {g:.6g} / r^2 at the wall: no ground state below -1/(4 r^2)")
     return math.sqrt(1.0 + 4.0 * g) - 1.0
 
@@ -197,7 +222,7 @@ class _LaguerreMesh:
         self.lo, self.scales = lo, [(hi - lo) / s for s in LAGUERRE_SCALES]
         self.alpha = _wall_exponent(v, lo, hi - lo)
 
-    def levels(self, v, n: int, c2: float, count: int) -> list[_Levels]:
+    def levels(self, v, n: int, count: int) -> list[_Levels]:
         x, q = _laguerre_nodes(n, self.alpha)
         # kinetic matrix of -d^2/dx^2 in the Gauss approximation (Baye 2015)
         sign = np.sign(q)
@@ -209,7 +234,7 @@ class _LaguerreMesh:
         out = []
         for h in self.scales:
             vx = _potential_at(v, self.lo + h * x)
-            mat = (c2 / h**2) * t
+            mat = t / h**2
             mat[np.diag_indices(n)] += vx
             energies, coef = _eigh_lowest(mat, count)
             edge = float(vx[-1])
@@ -257,11 +282,10 @@ def spectral_bound_states(
     v,
     interval: tuple[float, float],
     count: int,
-    c2: float = 1.0,
     half_line: bool = False,
     n_points: int = 4001,
 ) -> list[EigenPair]:
-    """Lowest `count` eigenpairs of -c2 psi'' + V psi = E psi by a spectral basis.
+    """Lowest `count` eigenpairs of -psi'' + V psi = E psi by a spectral basis.
 
     half_line=False: sine DVR with Dirichlet walls at both ends of interval.
     half_line=True: Lagrange-Laguerre mesh on [interval[0], inf); the interval
@@ -283,10 +307,10 @@ def spectral_bound_states(
     if 2 * n > SPECTRAL_CAP:
         raise SolverError(f"{count} states need a basis above the cap N = {SPECTRAL_CAP}")
     basis = _LaguerreMesh(v, lo, hi) if half_line else _SineDVR(lo, hi)
-    prev = basis.levels(v, n, c2, count)
+    prev = basis.levels(v, n, count)
     while True:
         n *= 2
-        cur = basis.levels(v, n, c2, count)
+        cur = basis.levels(v, n, count)
         scores = [_score(a, b) for a, b in zip(prev, cur)]
         best = min(range(len(cur)), key=scores.__getitem__)
         worst = scores[best][1]

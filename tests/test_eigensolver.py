@@ -125,6 +125,32 @@ def test_spectral_non_finite_potential_raises(half_line):
     assert issubclass(SolverError, _NUMERIC_ERRORS)
 
 
+@pytest.mark.parametrize(
+    "w, w_prime, box, exact",
+    [
+        # Coulomb, l = 1, e2 = 2: E_n = 1/4 - 1/(n + 2)^2
+        (lambda r: 0.5 - 2.0 / r, lambda r: 2.0 / r**2, (0.0, 100.0), lambda n: 0.25 - 1.0 / (n + 2) ** 2),
+        # radial oscillator, omega = 2, l = 1/2, on a box shorter than 10: E_n = 4n
+        (lambda r: r - 1.5 / r, lambda r: 1.0 + 1.5 / r**2, (0.0, 8.0), lambda n: 4.0 * n),
+    ],
+    ids=["coulomb", "oscillator-3d-short-box"],
+)
+def test_spectral_half_line_with_a_finite_difference_w_prime(w, w_prime, box, exact):
+    # V1 = W^2 - W' with W' by core's finite differences: the wall exponent is
+    # read where their stencil stays inside the half line
+    from susyqm.core import Superpotential
+    from susyqm.spectral import _wall_exponent
+
+    fd = Superpotential(w, domain=(0.0, math.inf))
+    analytic = Superpotential(w, domain=(0.0, math.inf), w_prime=w_prime)
+    length = box[1] - box[0]
+    alpha = _wall_exponent(analytic.v1, box[0], length)
+    assert _wall_exponent(fd.v1, box[0], length) == pytest.approx(alpha, abs=1e-6)
+    for n, p in enumerate(spectral_bound_states(fd.v1, box, 3, half_line=True)):
+        assert p.energy == pytest.approx(exact(n), abs=1e-8)
+        assert p.nodes == n
+
+
 def test_spectral_falling_to_the_centre_raises():
     with pytest.raises(SolverError):
         spectral_bound_states(lambda r: -0.5 / r**2 + r**2, (0.0, 10.0), 2, half_line=True)
@@ -137,3 +163,7 @@ def test_finite_difference_error_estimate():
         assert err < p.error_estimate < 1e-4
     g = Grid(0.0, 1.0, 100)  # an even point count: no coarse grid, no estimate
     assert math.isnan(bound_states(SampledFunction(g, np.zeros(100)), 1)[0].error_estimate)
+    g = Grid(0.0, 1.0, 103)  # a 2h grid but no 4h grid: extrapolated, no estimate
+    lv = bound_states(SampledFunction(g, np.zeros(103)), 1)
+    assert lv[0].energy == pytest.approx(math.pi**2, abs=1e-6)
+    assert math.isnan(lv[0].error_estimate)
