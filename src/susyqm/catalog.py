@@ -11,13 +11,14 @@ polynomials. Units are hbar = 2m = 1 throughout the closed forms.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
 from .core import Superpotential, apply_Adag, ground_state_from_w, normalized
-from .eigensolver import EigenPair, bound_states
+from .eigensolver import EigenPair
 from .grids import Grid, SampledFunction
 
 
@@ -53,7 +54,7 @@ class SipEntry:
     w_minus: Optional[float] = None  # finite asymptote => scattering supported
     w_plus: Optional[float] = None
     box: tuple[float, float] = (-10.0, 10.0)  # numeric window (walls clipped to domain)
-    n_points: int = 4001  # grid of numeric_levels' psi (and samples for two-wall wells)
+    n_points: int = 4001  # grid on which numeric_levels returns psi
     radial: bool = False
 
     def superpotential(self, params: Optional[dict] = None) -> Superpotential:
@@ -462,36 +463,56 @@ def well_hierarchy_potential(p: int, L: float = math.pi):
     return v
 
 
+def _warn_if_not_friedrichs(entry: SipEntry, p: dict) -> None:
+    """Warn when the closed-form ground state vanishes at a wall as the smaller
+    Frobenius root.
+
+    W ~ -+s/d at a wall, with d the distance to it, makes exp(-int W) go as d^s
+    and V1 ~ s(s - 1)/d^2. That V has the solutions d^s and d^(1 - s), and a
+    Dirichlet solver converges to the levels of the larger root. For s < 1/2
+    the catalog's spectrum belongs to the other one, so no such oracle can
+    reproduce it.
+    """
+    lo, hi = entry.box
+    rho = 1e-6 * (hi - lo)
+    for wall, sense, side, on in ((lo, 1.0, "lower", entry.wall_lo), (hi, -1.0, "upper", entry.wall_hi)):
+        if not on:
+            continue
+        d = np.array([rho, 2.0 * rho])
+        f = -sense * d * np.asarray(entry.w_of(wall + sense * d, p), dtype=float)
+        s = 2.0 * f[0] - f[1]  # d W extrapolated to the wall
+        if s < 0.5:
+            warnings.warn(
+                f"{entry.name}: exp(-int W) goes as d^{s:.4g} at the {side} wall, the smaller "
+                f"root of V1 ~ s(s-1)/d^2; the numeric levels are those of d^{1.0 - s:.4g}, "
+                "not the closed form",
+                stacklevel=3,
+            )
+
+
 def numeric_levels(
     entry: SipEntry, count: int, n_points: Optional[int] = None, params: Optional[dict] = None
 ) -> list[EigenPair]:
     """Numeric spectrum of V1 on the entry's box (independent oracle).
 
-    Wells with no wall use the sine DVR on the box, wells with a wall only at
-    the left end the Lagrange-Laguerre mesh on [box[0], inf), whose scales the
-    box length sets. Those levels converge to 1e-10 relative, and n_points only
-    sets the grid psi is returned on. Wells with two walls use the
-    finite-difference solver on n_points samples of the box.
+    The spectral engine picks its basis from the entry's walls: the sine DVR
+    on the box for wells with no wall, the Lagrange-Laguerre mesh on
+    [box[0], inf) for a wall only at the left end (the box length sets its
+    scales), and the Jacobi mesh on the box for a wall at both ends. Levels
+    converge to 1e-10 relative, and n_points only sets the grid psi is
+    returned on.
     """
-    p = dict(entry.params if params is None else params)
-    n_points = entry.n_points if n_points is None else n_points
-    if not entry.wall_hi:
-        from .spectral import spectral_bound_states
+    from .spectral import spectral_bound_states
 
-        return spectral_bound_states(
-            lambda x: entry.v1(x, p),
-            entry.box,
-            count,
-            half_line=entry.wall_lo,
-            n_points=n_points,
-        )
-    grid = Grid(*entry.box, n_points)
-    x = grid.points.copy()
-    if entry.wall_lo:
-        x[0] = x[1]
-    x[-1] = x[-2]
-    vals = np.asarray(entry.v1(x, p), dtype=float)
-    return bound_states(SampledFunction(grid, vals), count, check_decay=False)
+    p = dict(entry.params if params is None else params)
+    _warn_if_not_friedrichs(entry, p)
+    return spectral_bound_states(
+        lambda x: entry.v1(x, p),
+        entry.box,
+        count,
+        walls=(entry.wall_lo, entry.wall_hi),
+        n_points=entry.n_points if n_points is None else n_points,
+    )
 
 
 def numeric_grid(entry: SipEntry, n_points: int = 4001) -> Grid:

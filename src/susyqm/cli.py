@@ -11,6 +11,7 @@ quietly with exit 1. scipy subpackages load only in the commands that use them.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import os
@@ -113,34 +114,41 @@ def _parse_floats(text: str, flag: str) -> list[float]:
         raise ConfigError(f"{flag} expects a comma-separated list of numbers") from exc
 
 
+@contextlib.contextmanager
 def _output_stream(cfg: RunConfig):
+    """stdout, or the --output file (relative paths under $SUSYQM_OUTDIR), closed after use."""
     if cfg.output is None:
-        return sys.stdout, False
+        yield sys.stdout
+        return
     path = cfg.output
     if not os.path.isabs(path):
         path = os.path.join(os.environ.get("SUSYQM_OUTDIR", "."), path)
-    return open(path, "w", encoding="utf-8"), True
+    with open(path, "w", encoding="utf-8") as stream:
+        yield stream
 
 
 def _emit(cfg: RunConfig, columns: list[str], rows: list[list[float]], diagnostics: dict):
-    stream, close = _output_stream(cfg)
-    try:
-        if cfg.out_format == "json":
-            envelope = {
-                "inputs": asdict(cfg),
-                "version": __version__,
-                "outputs": {"columns": columns, "rows": [[float(v) for v in r] for r in rows]},
-                "diagnostics": diagnostics,
-            }
-            json.dump(envelope, stream, indent=2)
-            stream.write("\n")
-        else:
-            stream.write(",".join(columns) + "\n")
-            for row in rows:
-                stream.write(",".join(_fmt(v) for v in row) + "\n")
-    finally:
-        if close:
-            stream.close()
+    if cfg.out_format == "json":
+        outputs = {"columns": columns, "rows": [[float(v) for v in r] for r in rows]}
+        _emit_json(cfg, outputs, diagnostics)
+        return
+    with _output_stream(cfg) as stream:
+        stream.write(",".join(columns) + "\n")
+        for row in rows:
+            stream.write(",".join(_fmt(v) for v in row) + "\n")
+
+
+def _emit_json(cfg: RunConfig, outputs: dict, diagnostics: dict):
+    """The JSON envelope: the inputs echoed, the version, the outputs and diagnostics."""
+    envelope = {
+        "inputs": asdict(cfg),
+        "version": __version__,
+        "outputs": outputs,
+        "diagnostics": diagnostics,
+    }
+    with _output_stream(cfg) as stream:
+        json.dump(envelope, stream, indent=2)
+        stream.write("\n")
 
 
 def _lookup(cfg: RunConfig):
@@ -425,7 +433,13 @@ def _write_csv(path: str, columns: list[str], rows) -> None:
 def _cmd_check(cfg: RunConfig) -> int:
     from .selfcheck import run_all
 
-    results = run_all(print)
+    if cfg.out_format == "json":
+        results = run_all()
+        checks = [asdict(r) for r in results]
+        _emit_json(cfg, {"checks": checks}, {"seconds": sum(r.seconds for r in results)})
+    else:  # one line per check as it finishes
+        with _output_stream(cfg) as stream:
+            results = run_all(lambda line: print(line, file=stream))
     return 0 if all(r.passed for r in results) else 1
 
 
@@ -463,13 +477,14 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"susyqm {__version__}")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def common(p):
-        p.add_argument("--potential", help="catalog entry name")
-        p.add_argument("--params", help="comma-separated name=value parameters")
-        p.add_argument("--w-expr", dest="w_expr", help="inline superpotential expression in x")
-        p.add_argument("--grid", help="lo,hi,n sampling grid")
-        p.add_argument("--hbar", type=float, default=1.0)
-        p.add_argument("--mass2", type=float, default=1.0, help="2m in chosen units")
+    def common(p, potential: bool = True):
+        if potential:
+            p.add_argument("--potential", help="catalog entry name")
+            p.add_argument("--params", help="comma-separated name=value parameters")
+            p.add_argument("--w-expr", dest="w_expr", help="inline superpotential expression in x")
+            p.add_argument("--grid", help="lo,hi,n sampling grid")
+            p.add_argument("--hbar", type=float, default=1.0)
+            p.add_argument("--mass2", type=float, default=1.0, help="2m in chosen units")
         p.add_argument("--format", dest="out_format", choices=("csv", "json"), default="csv")
         p.add_argument("--output", help="output file (default: stdout)")
         p.add_argument("--config", help="JSON file of flag values; explicit flags win")
@@ -509,7 +524,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--outdir", help="output directory (default: SUSYQM_OUTDIR or .)")
 
     p = sub.add_parser("check", help="run the full invariant suite")
-    common(p)
+    common(p, potential=False)  # a fixed suite: no potential, grid or units to choose
     return parser
 
 
@@ -526,17 +541,18 @@ _DISPATCH = {
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
     named = {f.name for f in fields(RunConfig)} | {"config"}
+    given = vars(args)
     return RunConfig(
         subcommand=args.subcommand,
-        potential=args.potential,
-        params=_parse_params(args.params),
-        w_expr=args.w_expr,
-        grid=_parse_grid(args.grid),
-        hbar=args.hbar,
-        mass2=args.mass2,
+        potential=given.get("potential"),
+        params=_parse_params(given.get("params")),
+        w_expr=given.get("w_expr"),
+        grid=_parse_grid(given.get("grid")),
+        hbar=given.get("hbar", 1.0),
+        mass2=given.get("mass2", 1.0),
         out_format=args.out_format,
         output=args.output,
-        extra={k: v for k, v in vars(args).items() if k not in named and v is not None},
+        extra={k: v for k, v in given.items() if k not in named and v is not None},
     )
 
 

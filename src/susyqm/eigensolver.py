@@ -1,13 +1,15 @@
 """Bound states of -c^2 psi'' + V psi = E psi from samples of V, and the level type.
 
-bound_states solves sampled potentials (deformed families, wells with two
-walls) with the symmetric 3-point stencil, and sharpens eigenvalues by
-Richardson extrapolation between the grid and its 2h coarsening.
-dirichlet_tridiagonal is the one assembly of that stencil: the fine grid, the
-coarse grid and the direct route of core.algebra_check all use it.
-EigenPair is the level type of every solver. A callable V on a box or a half
-line goes to the spectral engine in spectral; band edges of periodic wells
-come from the Fourier-Floquet-Hill solver in periodic.
+bound_states solves potentials known only by their samples on a uniform grid:
+the isospectral families, the V1/V2 samples of check_degeneracy, and the well
+ladder of check_well_ladder and of the figures command. It uses the
+symmetric 3-point stencil and sharpens eigenvalues by Richardson
+extrapolation between the grid and its 2h coarsening. dirichlet_tridiagonal is
+the one assembly of that stencil: the fine grid, the coarse grid and the
+direct route of core.algebra_check all use it. EigenPair is the level type of
+every solver. A callable V, catalog wells included, goes to the spectral
+engine in spectral; band edges of periodic wells come from the
+Fourier-Floquet-Hill solver in periodic.
 """
 
 from __future__ import annotations
@@ -90,10 +92,10 @@ def bound_states(
     against the 2h coarsening when the point count allows it. Each level's
     error estimate is the change of its extrapolated energy from the 2h grid
     to this one, |R(h) - R(2h)|, which takes one more solve on the 4h grid
-    (NaN when n_points - 1 is not a multiple of 4). It is the error of R(2h);
-    on the catalog's two-wall wells it is within a factor of 10 of the error
-    of R(h) for almost every level. States above the smaller of the two edge
-    potential values are flagged as not bound.
+    (NaN when n_points - 1 is not a multiple of 4). It is the error of R(2h),
+    so an upper bound of the error of R(h) while the O(h^4) regime holds.
+    States above the smaller of the two edge potential values are flagged as
+    not bound.
     """
     from scipy.linalg import eigh_tridiagonal
 

@@ -44,12 +44,6 @@ class Grid:
         """Grid with the same endpoints and (n-1)*factor + 1 points."""
         return Grid(self.x_min, self.x_max, (self.n_points - 1) * factor + 1)
 
-    def coarsen(self) -> "Grid":
-        """Grid using every other point; requires an odd point count."""
-        if self.n_points % 2 == 0:
-            raise GridError("coarsening needs an odd point count")
-        return Grid(self.x_min, self.x_max, (self.n_points - 1) // 2 + 1)
-
 
 @dataclass(frozen=True)
 class SampledFunction:

@@ -11,8 +11,9 @@ from __future__ import annotations
 
 import cmath
 import math
+import time
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -51,6 +52,7 @@ class CheckResult:
     name: str
     passed: bool
     detail: str
+    seconds: float = math.nan  # wall time of the check, set by run_all
 
 
 def _result(name: str, passed: bool, detail: str) -> CheckResult:
@@ -351,11 +353,13 @@ ALL_CHECKS = [
 
 
 def run_all(verbose_print=None) -> list[CheckResult]:
+    """Run every check in suite order, each timed with perf_counter."""
     results = []
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         for fn in ALL_CHECKS:
-            res = fn()
+            start = time.perf_counter()
+            res = replace(fn(), seconds=time.perf_counter() - start)
             results.append(res)
             if verbose_print is not None:
                 verbose_print(f"{'PASS' if res.passed else 'FAIL'}  {res.name}: {res.detail}")

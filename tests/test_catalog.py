@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -52,10 +53,8 @@ def test_morse_truncation():
     assert truncated and len(spec) == 3
 
 
-SPECTRAL_ENTRIES = [n for n in CATALOG_NAMES if not sip_lookup(n).wall_hi]
-
-
 def test_numeric_agreement_all_entries():
+    # every entry on the spectral engine: absolute levels and node counts
     for name in CATALOG_NAMES:
         entry = sip_lookup(name)
         count = min(3, entry.n_bound or 3)
@@ -63,15 +62,90 @@ def test_numeric_agreement_all_entries():
         numeric = numeric_levels(entry, count)
         for n, (e_closed, pair) in enumerate(zip(spec, numeric)):
             assert pair.nodes == n, name
-            if name in SPECTRAL_ENTRIES:
-                assert pair.energy == pytest.approx(e_closed, abs=1e-8), name
-            else:  # finite differences between two walls
-                shift = numeric[0].energy - spec[0]
-                assert pair.energy - shift == pytest.approx(e_closed, abs=5e-4), name
+            assert pair.energy == pytest.approx(e_closed, abs=1e-8), name
 
 
-def test_spectral_dispatch_covers_eight_entries():
-    assert sorted(set(CATALOG_NAMES) - set(SPECTRAL_ENTRIES)) == ["rosen_morse1", "scarf1"]
+
+ALL_ENTRIES = [*CATALOG_NAMES, "sech2"]
+
+
+def test_spectral_dispatch_covers_every_entry(monkeypatch):
+    import susyqm.spectral
+
+    calls = []
+    monkeypatch.setattr(
+        susyqm.spectral, "spectral_bound_states", lambda v, box, count, walls, n_points: calls.append(walls)
+    )
+    for name in ALL_ENTRIES:
+        entry = sip_lookup(name)
+        numeric_levels(entry, 2)
+        assert calls.pop() == (entry.wall_lo, entry.wall_hi), name
+    assert len(ALL_ENTRIES) == 11
+
+
+TWO_WALLS = ["scarf1", "rosen_morse1"]
+
+
+@pytest.mark.parametrize("name", TWO_WALLS)
+def test_two_wall_levels_on_seeded_draws(name):
+    from susyqm.selfcheck import _random_params
+
+    rng = np.random.default_rng(2026)
+    checked = 0
+    for _ in range(12):
+        entry = sip_lookup(name, check_residual=False, **_random_params(name, rng))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            levels = numeric_levels(entry, 6)
+        if any("smaller root" in str(w.message) for w in caught):
+            continue  # a non-Friedrichs draw: see the test below
+        assert not caught, [str(w.message) for w in caught]
+        spec, _ = sip_spectrum(entry, 5)
+        for n, (pair, e_closed) in enumerate(zip(levels, spec)):
+            assert pair.energy == pytest.approx(e_closed, abs=1e-8), (entry.params, n)
+            assert pair.nodes == n
+        checked += 1
+    assert checked >= 8
+
+
+def test_two_wall_near_threshold_draw_stops_early(monkeypatch):
+    # (A - B)/alpha = 0.517 at the upper wall: the wall exponent is near 1/2
+    import susyqm.spectral as spectral
+
+    sizes = []
+    levels = spectral._JacobiMesh.levels
+    monkeypatch.setattr(
+        spectral._JacobiMesh, "levels", lambda self, v, n, count: sizes.append(n) or levels(self, v, n, count)
+    )
+    entry = sip_lookup("scarf1", A=2.447, B=1.97, alpha=0.923)
+    spec, _ = sip_spectrum(entry, 5)
+    for n, (pair, e_closed) in enumerate(zip(numeric_levels(entry, 6), spec)):
+        assert pair.energy == pytest.approx(e_closed, abs=1e-8)
+        assert pair.nodes == n
+    assert max(sizes) <= 128
+
+
+@pytest.mark.parametrize(
+    "name, params, wall",
+    [
+        ("scarf1", {"A": 1.236, "B": 0.876, "alpha": 1.122}, "upper"),  # (A - B)/alpha = 0.32
+        ("poschl_teller", {"A": 2.0, "B": 2.4, "alpha": 1.0}, "lower"),  # (B - A)/alpha = 0.4
+    ],
+)
+def test_a_non_friedrichs_draw_warns(name, params, wall):
+    entry = sip_lookup(name, **params)
+    with pytest.warns(UserWarning, match=f"smaller root.*{wall} wall|{wall} wall.*smaller root"):
+        levels = numeric_levels(entry, 2)
+    spec, _ = sip_spectrum(entry, 1)
+    assert abs(levels[0].energy - spec[0]) > 1e-3  # the Dirichlet levels are another spectrum
+
+
+@pytest.mark.parametrize("name", ALL_ENTRIES)
+def test_defaults_do_not_warn(name):
+    entry = sip_lookup(name)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        numeric_levels(entry, min(3, entry.n_bound or 3))
 
 
 def _tracks(estimate: float, err: float) -> bool:
@@ -149,8 +223,6 @@ def test_parameter_override():
     spec, _ = sip_spectrum(entry, 2)
     assert spec == pytest.approx([0.0, 4.0, 8.0])
 
-
-ALL_ENTRIES = [*CATALOG_NAMES, "sech2"]
 
 
 @pytest.mark.parametrize("name", ALL_ENTRIES)

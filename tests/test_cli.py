@@ -326,3 +326,46 @@ def test_closed_stdout_ends_the_run_quietly(argv, first):
     proc.wait(timeout=120)
     assert line.startswith(first)
     assert err == ""
+
+
+def test_check_json_envelope(capsys):
+    from susyqm.selfcheck import ALL_CHECKS
+
+    code, out = run(capsys, "check", "--format", "json")
+    assert code == 0
+    envelope = json.loads(out)
+    checks = envelope["outputs"]["checks"]
+    assert len(checks) == len(ALL_CHECKS)
+    for check in checks:
+        assert set(check) == {"name", "passed", "detail", "seconds"}
+        assert check["passed"] is True and check["detail"]
+        assert 0.0 < check["seconds"] < 60.0
+    assert envelope["inputs"]["subcommand"] == "check"
+    assert envelope["diagnostics"]["seconds"] == pytest.approx(sum(c["seconds"] for c in checks))
+
+
+def test_check_output_file(tmp_path, capsys):
+    path = tmp_path / "check.txt"
+    code, out = run(capsys, "check", "--output", str(path))
+    assert code == 0 and out == ""
+    lines = path.read_text().splitlines()
+    assert len(lines) == 11 and all(line.startswith("PASS  ") for line in lines)
+
+
+@pytest.mark.parametrize(
+    "flag, value",
+    [
+        ("--potential", "morse"),
+        ("--params", "A=1"),
+        ("--w-expr", "x"),
+        ("--grid", "0,1,11"),
+        ("--hbar", "2"),
+        ("--mass2", "1"),
+    ],
+)
+def test_check_refuses_potential_flags(capsys, flag, value):
+    code = main(["check", flag, value])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("configuration error:") and flag in captured.err
+    assert captured.err.count("\n") == 1

@@ -1,8 +1,11 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
+from susyqm import spectral
+from susyqm.catalog import well_hierarchy_potential
 from susyqm.eigensolver import SolverError, bound_states, bound_states_of
 from susyqm.spectral import SPECTRAL_CAP, spectral_bound_states
 from susyqm.grids import Grid, SampledFunction, integrate
@@ -42,7 +45,7 @@ def test_radial_coulomb():
     # -e2/r with e2 = 2 plus l(l+1)/r^2 on the Laguerre mesh: E_n = -1/(n+l+1)^2
     for l in range(4):
         lv = spectral_bound_states(
-            lambda r: l * (l + 1) / r**2 - 2.0 / r, (0.0, 80.0), 3, half_line=True
+            lambda r: l * (l + 1) / r**2 - 2.0 / r, (0.0, 80.0), 3, walls=(True, False)
         )
         for n, p in enumerate(lv):
             assert p.energy == pytest.approx(-1.0 / (n + l + 1) ** 2, abs=1e-10), (l, n)
@@ -70,26 +73,38 @@ def test_spectral_free_box_and_oscillator():
 @pytest.mark.parametrize("l", [0.0, 1.0, 2.5])
 def test_spectral_radial_oscillator(l):
     # omega^2 r^2 / 4 + l(l+1)/r^2 with omega = 2: E_n = 2 (2n + l + 3/2), also for non-integer l
-    lv = spectral_bound_states(lambda r: r**2 + l * (l + 1) / r**2, (0.0, 12.0), 4, half_line=True)
+    lv = spectral_bound_states(lambda r: r**2 + l * (l + 1) / r**2, (0.0, 12.0), 4, walls=(True, False))
     for n, p in enumerate(lv):
         assert p.energy == pytest.approx(2.0 * (2 * n + l + 1.5), abs=1e-10)
         assert p.nodes == n
 
 
+def test_spectral_half_line_from_the_upper_wall():
+    # the radial oscillator mirrored onto (-12, 0]: the same levels, and psi mirrored
+    v = lambda r: r**2 + 2.0 / r**2
+    lower = spectral_bound_states(v, (0.0, 12.0), 3, walls=(True, False), n_points=601)
+    upper = spectral_bound_states(lambda x: v(-x), (-12.0, 0.0), 3, walls=(False, True), n_points=601)
+    for n, (p, q) in enumerate(zip(lower, upper)):
+        assert q.energy == pytest.approx(2.0 * (2 * n + 2.5), abs=1e-10)
+        assert q.nodes == n
+        assert np.max(np.abs(q.psi.values[::-1] - p.psi.values * (-1) ** n)) < 1e-10
+
+
 @pytest.mark.parametrize(
-    "v, interval, half_line",
+    "v, interval, walls",
     [
-        (lambda x: x**2 + 0.3 * x**3 / (1 + x**2), (-8.0, 8.0), False),
-        (lambda r: r**2 + 2.0 / r**2 - 1.0 / r, (0.0, 10.0), True),
+        (lambda x: x**2 + 0.3 * x**3 / (1 + x**2), (-8.0, 8.0), (False, False)),
+        (lambda r: r**2 + 2.0 / r**2 - 1.0 / r, (0.0, 10.0), (True, False)),
+        (lambda x: 2.0 / np.sin(x) ** 2 + 6.0 / np.cos(x / 2) ** 2 + x, (0.0, math.pi), (True, True)),
     ],
-    ids=["sine-dvr", "laguerre"],
+    ids=["sine-dvr", "laguerre", "jacobi"],
 )
-def test_lazy_psi_matches_the_fd_eigenvector(v, interval, half_line):
+def test_lazy_psi_matches_the_fd_eigenvector(v, interval, walls):
     grid = Grid(*interval, 8001)
     x = grid.points.copy()
-    x[0] = x[1]  # sentinel at the wall; it is outside the Dirichlet stencil
+    x[0], x[-1] = x[1], x[-2]  # sentinels at the walls; they are outside the Dirichlet stencil
     fd = bound_states(SampledFunction(grid, v(x)), 3, check_decay=False)
-    lv = spectral_bound_states(v, interval, 3, half_line=half_line, n_points=8001)
+    lv = spectral_bound_states(v, interval, 3, walls=walls, n_points=8001)
     for n, (p, q) in enumerate(zip(lv, fd)):
         assert callable(p._psi)  # nothing built before the first read
         assert p.psi.grid == grid and not callable(p._psi)
@@ -121,7 +136,7 @@ def test_spectral_non_finite_potential_raises(half_line):
         return np.where(x > 3.0, np.nan, x**2)
 
     with pytest.raises(SolverError, match="not finite"):
-        spectral_bound_states(v, (0.0 if half_line else -5.0, 5.0), 2, half_line=half_line)
+        spectral_bound_states(v, (0.0 if half_line else -5.0, 5.0), 2, walls=(half_line, False))
     assert issubclass(SolverError, _NUMERIC_ERRORS)
 
 
@@ -146,14 +161,96 @@ def test_spectral_half_line_with_a_finite_difference_w_prime(w, w_prime, box, ex
     length = box[1] - box[0]
     alpha = _wall_exponent(analytic.v1, box[0], length)
     assert _wall_exponent(fd.v1, box[0], length) == pytest.approx(alpha, abs=1e-6)
-    for n, p in enumerate(spectral_bound_states(fd.v1, box, 3, half_line=True)):
+    for n, p in enumerate(spectral_bound_states(fd.v1, box, 3, walls=(True, False))):
         assert p.energy == pytest.approx(exact(n), abs=1e-8)
         assert p.nodes == n
 
 
 def test_spectral_falling_to_the_centre_raises():
     with pytest.raises(SolverError):
-        spectral_bound_states(lambda r: -0.5 / r**2 + r**2, (0.0, 10.0), 2, half_line=True)
+        spectral_bound_states(lambda r: -0.5 / r**2 + r**2, (0.0, 10.0), 2, walls=(True, False))
+
+
+def _sizes(monkeypatch, basis) -> list:
+    """The basis sizes N at which the engine solves, recorded as it runs."""
+    sizes = []
+    levels = basis.levels
+    monkeypatch.setattr(basis, "levels", lambda self, v, n, count: sizes.append(n) or levels(self, v, n, count))
+    return sizes
+
+
+def test_jacobi_free_box(monkeypatch):
+    # walls where V stays finite: psi ~ d at both ends, E = n^2 on (0, pi)
+    sizes = _sizes(monkeypatch, spectral._JacobiMesh)
+    lv = spectral_bound_states(lambda x: np.zeros_like(x), (0.0, math.pi), 5, walls=(True, True))
+    for n, p in enumerate(lv, start=1):
+        assert p.energy == pytest.approx(n * n, abs=1e-8)
+        assert p.nodes == n - 1 and p.bound
+        assert p.error_estimate < 1e-9
+    assert max(sizes) <= 64
+
+
+@pytest.mark.parametrize("p", [1, 2, 3])
+def test_jacobi_well_ladder(p):
+    # p(p+1)/sin^2 x - p^2 on (0, pi): psi ~ sin^(p+1) x, E_n = (n + p + 1)^2 - p^2
+    lv = spectral_bound_states(well_hierarchy_potential(p), (0.0, math.pi), 5, walls=(True, True))
+    for n, pair in enumerate(lv):
+        assert pair.energy == pytest.approx((n + p + 1) ** 2 - p * p, abs=1e-8)
+        assert pair.nodes == n
+
+
+def test_jacobi_mesh_rejects_a_bad_potential():
+    def nan_inside(x):
+        return np.where(np.abs(x - 1.0) < 0.2, np.nan, 2.0 / np.sin(x) ** 2)
+
+    with pytest.raises(SolverError, match="not finite"):
+        spectral_bound_states(nan_inside, (0.0, math.pi), 2, walls=(True, True))
+    # -1/2 / d^2 at the upper wall only: falls to the centre there
+    with pytest.raises(SolverError, match="-1/\\(4 d\\^2\\)"):
+        spectral_bound_states(
+            lambda x: 2.0 / x**2 - 0.5 / (math.pi - x) ** 2, (0.0, math.pi), 2, walls=(True, True)
+        )
+
+
+def _scripted_basis(energies: dict):
+    """A basis whose one level at size N is energies[N]."""
+
+    class Scripted:
+        def __init__(self, v, lo, hi):
+            pass
+
+        def levels(self, v, n, count):
+            one = np.ones((n, 1)) / math.sqrt(n)
+            flat = lambda coef, grid: np.zeros(grid.n_points)
+            return [spectral._Levels(np.array([energies[n]]), one, one, math.inf, np.ones(1, bool), flat)]
+
+    return Scripted
+
+
+@pytest.mark.parametrize(
+    "script, last_n",
+    [
+        # truncation error falls, then a change below 1e-8 grows: rounding, stop at 128
+        ({16: 1e-4, 32: 1e-7, 64: 1.03e-7, 128: 1.08e-7}, 128),
+        # a change that grows while still above 1e-8 is not rounding: keep doubling
+        ({16: 1e-3, 32: 2e-3, 64: 4e-3, 128: 4e-3 + 1e-12}, 128),
+        ({16: 1e-3, 32: 2e-3, 64: 4e-3, 128: 4e-3 + 1e-9, 256: 4e-3 + 3e-9}, 256),
+    ],
+    ids=["floor", "growing-early", "growing-early-then-floor"],
+)
+def test_a_change_that_grows_below_the_floor_stops_the_doubling(monkeypatch, script, last_n):
+    monkeypatch.setattr(spectral, "_JacobiMesh", _scripted_basis({n: 1.0 + e for n, e in script.items()}))
+    sizes = _sizes(monkeypatch, spectral._JacobiMesh)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        (pair,) = spectral_bound_states(None, (0.0, 1.0), 1, walls=(True, True))
+    assert sizes == [n for n in sorted(script) if n <= last_n]
+    change = abs(script[last_n] - script[last_n // 2])
+    assert pair.energy == 1.0 + script[last_n]
+    assert pair.error_estimate == pytest.approx(change, rel=1e-6)
+    moved = [str(w.message) for w in caught if "levels still move" in str(w.message)]
+    assert len(moved) == (change > spectral.SPECTRAL_TOL)
+    assert all(f"and N = {last_n}" in m for m in moved)
 
 
 def test_finite_difference_error_estimate():

@@ -22,7 +22,6 @@ def test_grid_basic_properties():
     assert g.h == pytest.approx(0.1)
     assert g.points[0] == 0.0 and g.points[-1] == 1.0
     assert g.refine().n_points == 21
-    assert g.coarsen().n_points == 6
 
 
 def test_grid_rejects_bad_bounds():
