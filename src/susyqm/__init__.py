@@ -70,9 +70,9 @@ from .scattering import (
     reflectionless_T,
 )
 
-# swkb needs scipy.optimize, and no command solves a callable V with the
-# spectral engine: their names are imported on first access (PEP 562) rather
-# than with the package.
+# swkb is compiled only by the commands that quantize, and no command solves a
+# callable V with the spectral engine (which needs scipy.linalg): their names
+# are imported on first access (PEP 562) rather than with the package.
 _SWKB_NAMES = ("Mode", "QuantizationProblem", "QuantizeError", "exactness_audit", "quantize")
 
 

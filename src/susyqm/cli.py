@@ -5,7 +5,8 @@ echoes the inputs and carries per-operation outputs plus discretization
 diagnostics. Exit codes: 0 success, 1 numeric failure, 2 configuration error.
 Each distinct warning a run raises is printed once on stderr as "warning: ...".
 A reader that closes stdout early (`susyqm check | head -3`) ends the run
-quietly with exit 1. scipy subpackages load only in the commands that use them.
+quietly with exit 1. Only `figures` and `check` load scipy (`scipy.linalg`, for the
+bound-state eigensolver); the other commands load none.
 """
 
 from __future__ import annotations
@@ -304,7 +305,7 @@ def _cmd_swkb(cfg: RunConfig) -> int:
     if cfg.potential is None:
         raise ConfigError("swkb needs a catalog --potential")
     entry = _lookup(cfg)
-    spec, _ = sip_spectrum(entry, cfg.extra["levels"] - 1)
+    spec, truncated = sip_spectrum(entry, cfg.extra["levels"] - 1)
     prob_s = problem_for_entry(entry, Mode.SWKB_V1)
     prob_w = problem_for_entry(entry, Mode.WKB) if entry.name in WKB_APPLICABLE else None
     rows = []
@@ -312,7 +313,12 @@ def _cmd_swkb(cfg: RunConfig) -> int:
         e_swkb = quantize(prob_s, n)
         e_wkb = quantize(prob_w, n) if prob_w is not None else math.nan
         rows.append([n, e_exact, e_swkb, e_wkb])
-    _emit(cfg, ["n", "e_exact", "e_swkb", "e_wkb"], rows, {"entry": entry.name})
+    _emit(
+        cfg,
+        ["n", "e_exact", "e_swkb", "e_wkb"],
+        rows,
+        {"entry": entry.name, "bound_states": entry.n_bound, "truncated": bool(truncated)},
+    )
     return 0
 
 

@@ -20,7 +20,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .core import Superpotential
-from .eigensolver import EigenPair, SolverError
+from .eigensolver import EigenPair, SolverError, _flip_sign
 from .grids import Grid, SampledFunction, integrate, sample
 from .scattering import propagate
 from .special import elliptic_K, jacobi_sn_cn_dn
@@ -260,8 +260,6 @@ def band_edge_states(
     V's harmonics have not decayed (a step, say), the edges converge only
     algebraically in n_points, and a RuntimeWarning says so.
     """
-    from scipy.linalg import eigh
-
     grid = Grid(0.0, period, n_points)
     vals = sample(v, grid).values
     if abs(vals[0] - vals[-1]) > 1e-8 * (1 + abs(vals[0])):
@@ -293,8 +291,9 @@ def band_edge_states(
         h = np.outer(c, c) * vhat[(-p - q) // 2] + np.outer(c, c.conj()) * vhat[(q - p) // 2]
         h = h.real
         h[np.diag_indices_from(h)] += (math.pi * f / period) ** 2
-        energies, vecs = eigh(h, subset_by_index=(0, min(count // 2 + 2, f.size) - 1))
-        levels += [(e, tag, f, c * vecs[:, i]) for i, e in enumerate(energies)]
+        energies, vecs = np.linalg.eigh(h)
+        keep = min(count // 2 + 2, f.size)
+        levels += [(e, tag, f, c * vecs[:, i]) for i, e in enumerate(energies[:keep])]
     if len(levels) < count:
         raise SolverError(
             f"{n_points} samples resolve {modes} harmonics, too few for count={count} "
@@ -312,6 +311,7 @@ def band_edge_states(
         z = np.zeros(2 * n, dtype=complex)
         np.add.at(z, f, coef)
         psi = math.sqrt(8.0 / period) * n * np.fft.ifft(z)[: n + 1].real
+        psi *= _flip_sign(psi)
         nodes = _cyclic_nodes(psi[:-1], 1.0 if tag == "L" else -1.0)
         out.append((edge, EigenPair(edge.energy, SampledFunction(grid, psi), nodes)))
     return out

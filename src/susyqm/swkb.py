@@ -9,9 +9,14 @@ is monotone in E and the quantization targets are
 The inverse-square-root endpoint singularity is removed by the substitution
 x = mid + halfwidth * sin(theta), after which Gauss-Legendre quadrature
 converges spectrally. The turning points and the level energy are both
-found with Brent's method. SWKB reproduces the exact spectrum for every
-shape-invariant entry; ordinary WKB is exact only for the oscillator and
-Morse wells.
+found with Brent's zero finder, and the coincident turning points of the
+SWKB ground level with his bounded minimizer (R. P. Brent, Algorithms for
+Minimization without Derivatives, 1973). Both are pure-Python ports of the
+forms scipy runs (`scipy.optimize.brentq` and
+`minimize_scalar(method="bounded")`), step for step, so the levels are bit
+for bit those of scipy while the module loads no scipy. SWKB reproduces the
+exact spectrum for every shape-invariant entry; ordinary WKB is exact only for
+the oscillator and Morse wells.
 """
 
 from __future__ import annotations
@@ -23,7 +28,6 @@ from functools import cached_property, lru_cache
 from typing import Callable
 
 import numpy as np
-from scipy.optimize import brentq, minimize_scalar
 
 from .catalog import SipEntry, numeric_grid, sip_spectrum
 
@@ -35,6 +39,144 @@ _N_QUAD = 256
 
 class QuantizeError(ValueError):
     pass
+
+
+# scipy.optimize.brentq's default relative tolerance, 4 eps
+_RTOL = 4.0 * np.finfo(float).eps
+
+
+def _brentq(f: Callable[[float], float], a: float, b: float, xtol: float, maxiter: int = 100) -> float:
+    """A root of f in [a, b] by Brent's method: scipy's C brentq, step for step.
+
+    xpre is the previous iterate, xcur the current one and xblk the contrapoint
+    whose f has the opposite sign; spre and scur are the last two steps. An
+    inverse quadratic (or secant) step is taken while it is short enough,
+    else the bracket is bisected. Raises QuantizeError where scipy raises:
+    f(a) and f(b) of one sign, a NaN value, or no convergence in maxiter steps.
+    """
+
+    def call(x):
+        fx = float(f(x))
+        if math.isnan(fx):
+            raise QuantizeError(f"the function value at x={x} is NaN; Brent cannot continue")
+        return fx
+
+    xpre, xcur = float(a), float(b)
+    xblk = fblk = spre = scur = 0.0
+    fpre, fcur = call(xpre), call(xcur)
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if (fpre < 0) == (fcur < 0):
+        raise QuantizeError(f"f({a}) and f({b}) must have different signs")
+    for _ in range(maxiter):
+        if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+
+        delta = (xtol + _RTOL * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):  # good short step
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = call(xcur)
+    raise QuantizeError(f"Brent's method did not converge in {maxiter} iterations, x={xcur}")
+
+
+def _fminbound(f: Callable[[float], float], lo: float, hi: float) -> float:
+    """The minimum value of f on [lo, hi] by Brent's bounded minimizer.
+
+    scipy's `_minimize_scalar_bounded` with xatol = 1e-13, step for step:
+    golden-section steps, replaced by a parabola through the three best
+    points (xf, nfc, fulc) whenever that step is short and stays inside the
+    bracket [a, b]. Like scipy it returns the best value found when maxfun
+    evaluations run out.
+    """
+    xatol, maxfun = 1e-13, 500
+    sqrt_eps = math.sqrt(2.2e-16)
+    golden_mean = 0.5 * (3.0 - math.sqrt(5.0))
+    a, b = float(lo), float(hi)
+    fulc = a + golden_mean * (b - a)
+    nfc = xf = fulc
+    rat = e = 0.0
+    fx = f(xf)
+    num = 1
+    ffulc = fnfc = fx
+    xm = 0.5 * (a + b)
+    tol1 = sqrt_eps * abs(xf) + xatol / 3.0
+    tol2 = 2.0 * tol1
+
+    while abs(xf - xm) > tol2 - 0.5 * (b - a):
+        golden = True
+        if abs(e) > tol1:  # try a parabolic fit
+            golden = False
+            r = (xf - nfc) * (fx - ffulc)
+            q = (xf - fulc) * (fx - fnfc)
+            p = (xf - fulc) * q - (xf - nfc) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            r, e = e, rat
+            if abs(p) < abs(0.5 * q * r) and q * (a - xf) < p < q * (b - xf):
+                rat = (p + 0.0) / q
+                x = xf + rat
+                if (x - a) < tol2 or (b - x) < tol2:
+                    rat = tol1 if xm - xf >= 0 else -tol1
+            else:
+                golden = True
+        if golden:
+            e = (a - xf) if xf >= xm else (b - xf)
+            rat = golden_mean * e
+
+        x = xf + (1.0 if rat >= 0 else -1.0) * max(abs(rat), tol1)
+        fu = f(x)
+        num += 1
+        if fu <= fx:
+            if x >= xf:
+                a = xf
+            else:
+                b = xf
+            fulc, ffulc = nfc, fnfc
+            nfc, fnfc = xf, fx
+            xf, fx = x, fu
+        else:
+            if x < xf:
+                a = x
+            else:
+                b = x
+            if fu <= fnfc or nfc == xf:
+                fulc, ffulc = nfc, fnfc
+                nfc, fnfc = x, fu
+            elif fu <= ffulc or fulc == xf or fulc == nfc:
+                fulc, ffulc = x, fu
+
+        xm = 0.5 * (a + b)
+        tol1 = sqrt_eps * abs(xf) + xatol / 3.0
+        tol2 = 2.0 * tol1
+        if num >= maxfun:
+            break
+    return fx
 
 
 class Mode(Enum):
@@ -111,7 +253,7 @@ def turning_points(problem: QuantizationProblem, energy: float) -> tuple[float, 
     # a root on node i precedes the crossing in (x_i, x_i+1)
     order = np.argsort(np.concatenate([on_node, flips + 0.5]))
     roots = [xs[i] for i in on_node]
-    roots += [brentq(gap, xs[i], xs[i + 1], xtol=1e-14) for i in flips]
+    roots += [_brentq(gap, xs[i], xs[i + 1], xtol=1e-14) for i in flips]
     a, b = (float(roots[k]) for k in order)
     return a, b
 
@@ -159,13 +301,7 @@ def quantize(problem: QuantizationProblem, n: int) -> float:
         i = int(np.argmin(wvals))
         lo_b = xs[max(i - 1, 0)]
         hi_b = xs[min(i + 1, xs.size - 1)]
-        res = minimize_scalar(
-            lambda x: float(problem.well(x)),
-            bounds=(lo_b, hi_b),
-            method="bounded",
-            options={"xatol": 1e-13},
-        )
-        return min(well_min, float(res.fun))
+        return min(well_min, _fminbound(lambda x: float(problem.well(x)), lo_b, hi_b))
 
     @lru_cache(maxsize=None)  # Brent re-evaluates the bracket end the growth loop just tried
     def f(e):
@@ -177,7 +313,7 @@ def quantize(problem: QuantizationProblem, n: int) -> float:
         if hi >= cap:
             raise QuantizeError(f"level n={n} lies above the continuum edge {edge}")
         hi = min(well_min + 2.0 * (hi - well_min), cap)
-    return brentq(f, well_min, hi, xtol=1e-13)
+    return _brentq(f, well_min, hi, xtol=1e-13)
 
 
 @dataclass(frozen=True)

@@ -127,6 +127,18 @@ def test_swkb_table(capsys):
         assert e_wkb == pytest.approx(e_exact, abs=1e-7)
 
 
+def test_swkb_reports_a_truncated_level_request(capsys):
+    # morse A=3, B=1 has 3 bound states; --levels 10 must say why only 3 rows come back
+    code = main(["swkb", "--potential", "morse", "--levels", "10", "--format", "json"])
+    out, err = capsys.readouterr()
+    assert code == 0 and err == ""
+    envelope = json.loads(out)
+    assert len(envelope["outputs"]["rows"]) == 3
+    assert envelope["diagnostics"] == {"entry": "morse", "bound_states": 3, "truncated": True}
+    code = main(["swkb", "--potential", "morse", "--levels", "2", "--format", "json"])
+    assert json.loads(capsys.readouterr().out)["diagnostics"]["truncated"] is False
+
+
 def test_swkb_quantize_failure_is_a_numeric_failure(capsys):
     # level 2 of this sech2 well sits 4e-8 below the continuum, inside the quantizer's guard
     code = main(["swkb", "--potential", "sech2", "--params", "B=2.00000001", "--levels", "3"])

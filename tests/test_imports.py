@@ -40,6 +40,8 @@ def scipy_modules(argv: list) -> list:
         ["spectrum", "--potential", "sech2", "--params", "B=2"],
         ["scatter", "--potential", "sech2", "--params", "B=1", "--k", "0.5,1,2"],
         ["isospectral", "--potential", "shifted_oscillator", "--lambdas", "0.5,1,5"],
+        ["swkb", "--potential", "morse", "--levels", "3"],
+        ["bands", "--lame", "a=1", "--m", "0.5"],
     ],
     ids=lambda argv: argv[0],
 )
@@ -47,11 +49,11 @@ def test_commands_without_a_solver_load_no_scipy(argv):
     assert scipy_modules(argv) == []
 
 
-def test_bands_loads_only_scipy_linalg():
-    modules = scipy_modules(["bands", "--lame", "a=1", "--m", "0.5"])
-    subpackages = {m.split(".")[1] for m in modules if "." in m and not m.split(".")[1].startswith("_")}
-    assert "linalg" in subpackages
-    assert subpackages <= {"linalg", "version"}  # scipy/__init__ always loads scipy.version
+def test_check_never_loads_scipy_optimize():
+    # the eigensolver needs scipy.linalg; the SWKB checks run on the Brent ports
+    modules = scipy_modules(["check"])
+    assert "scipy.linalg" in modules
+    assert not any(m == "scipy.optimize" or m.startswith("scipy.optimize.") for m in modules)
 
 
 def test_swkb_names_are_served_by_the_package():

@@ -127,6 +127,19 @@ def test_band_edge_states_node_counts():
         assert edge.nodes_per_period in (0, 1)
 
 
+@pytest.mark.parametrize("m", [0.3, 0.5, 0.8])
+def test_band_edge_states_have_a_fixed_sign(m):
+    # Lame a = 1 edges E = m, 1, 1 + m belong to dn, cn, sn; the nodeless dn edge is positive
+    spec = LameSpec(1, m)
+    states = band_edge_states(lame_potential(spec), spec.period, 3, n_points=801)
+    grid = states[0][1].psi.grid
+    sn, cn, dn = jacobi_sn_cn_dn(grid.points, m)
+    assert np.all(states[0][1].psi.values > 0)
+    for (_, pair), exact in zip(states, (dn, cn, sn)):
+        psi = pair.psi.values
+        assert np.allclose(psi / np.max(np.abs(psi)), exact / np.max(np.abs(exact)), atol=1e-8)
+
+
 @pytest.mark.parametrize("m", [0.1, 0.3, 0.5, 0.7, 0.9])
 @pytest.mark.parametrize("a", [1, 2])
 def test_lame_edges_states_and_nodes_match_closed_form(a, m):

@@ -8,6 +8,8 @@ from susyqm.swkb import (
     Mode,
     QuantizationProblem,
     QuantizeError,
+    _brentq,
+    _fminbound,
     action_integral,
     boundary_phase,
     exactness_audit,
@@ -129,3 +131,92 @@ def test_level_above_continuum_raises():
     prob = problem_for_entry(entry, Mode.SWKB_V1)
     with pytest.raises(QuantizeError):
         quantize(prob, 10)
+
+
+def gap_at(name, energy):
+    """E - W^2 of a catalog entry's SWKB problem and a scan cell holding one root."""
+    prob = problem_for_entry(sip_lookup(name), Mode.SWKB_V1)
+    xs, u = prob.scan
+    i = int(np.flatnonzero(np.diff(np.sign(energy - u)))[0])
+    return (lambda x: energy - float(prob.well(x))), xs[i], xs[i + 1]
+
+
+def morse_action(e):
+    """S(E) - 2 pi of the default morse well, whose SWKB E_1 = 5."""
+    prob = problem_for_entry(sip_lookup("morse"), Mode.SWKB_V1)
+    return action_integral(prob, e) - prob.target(1)
+
+
+@pytest.mark.parametrize(
+    "f, a, b, xtol",
+    [
+        (lambda x: x**3 - 2.0 * x - 5.0, 1.0, 4.0, 1e-14),
+        (lambda x: (x - 0.7) * (x + 2.0) ** 2, -1.0, 3.3, 1e-13),
+        (lambda x: x - 2.5, 0.0, 2.5, 1e-14),  # the root is the bracket's upper end
+        (lambda x: math.tanh(40.0 * (x - 0.3)), -3.0, 4.0, 1e-14),  # flat tails
+        (lambda x: math.tanh(40.0 * (x - 0.3)), -3.0, 4.0, 1e-13),
+        (*gap_at("morse", 3.3), 1e-14),
+        (*gap_at("coulomb", 0.2), 1e-14),
+        (morse_action, 0.0, 6.0, 1e-13),
+    ],
+    ids=[
+        "cubic", "cubic-2", "root-at-end", "tanh-14", "tanh-13", "morse-gap", "coulomb-gap",
+        "morse-action",
+    ],
+)
+def test_brentq_port_matches_scipy_bit_for_bit(f, a, b, xtol):
+    from scipy.optimize import brentq
+
+    root = _brentq(f, a, b, xtol=xtol)
+    assert root == brentq(f, a, b, xtol=xtol)
+    assert isinstance(root, float)
+
+
+def test_ports_match_scipy_on_random_brackets():
+    # looser tolerances and many brackets reach the branches the fixed cases above do not
+    from scipy.optimize import brentq, minimize_scalar
+
+    rng = np.random.default_rng(5)
+    roots = [lambda x: math.cos(x) - x, lambda x: math.exp(x) - 3.0, lambda x: x**3 - x - 1.0,
+             lambda x: math.tanh(50.0 * (x - 0.3))]
+    for f in roots:
+        for a, b in zip(rng.uniform(-3.0, 0.0, 40), rng.uniform(1.5, 4.0, 40)):
+            for xtol in (1e-8, 2e-12, 1e-14):
+                assert _brentq(f, a, b, xtol) == brentq(f, a, b, xtol=xtol)
+    minima = [lambda x: math.cosh(x - 0.1) ** 2, lambda x: (math.tanh(x) - 0.2) ** 2, lambda x: x**4 - x]
+    for f in minima:
+        for lo, width in zip(rng.uniform(-2.0, 0.0, 40), rng.uniform(1e-4, 3.0, 40)):
+            ref = minimize_scalar(f, bounds=(lo, lo + width), method="bounded", options={"xatol": 1e-13})
+            assert _fminbound(f, lo, lo + width) == ref.fun
+
+
+def test_brentq_port_raises_on_a_same_sign_bracket():
+    with pytest.raises(QuantizeError, match="different signs"):
+        _brentq(lambda x: x * x + 1.0, -1.0, 1.0, xtol=1e-14)
+    with pytest.raises(QuantizeError, match="NaN"):
+        _brentq(lambda x: math.nan if x > 0 else -1.0, -1.0, 1.0, xtol=1e-14)
+    with pytest.raises(QuantizeError, match="converge"):
+        _brentq(lambda x: math.tanh(40.0 * (x - 0.3)), -3.0, 4.0, xtol=1e-14, maxiter=3)
+
+
+@pytest.mark.parametrize(
+    "prob",
+    [
+        problem_for_entry(sip_lookup("morse"), Mode.SWKB_V1),
+        problem_for_entry(sip_lookup("scarf1"), Mode.SWKB_V1),
+        QuantizationProblem(  # W^2 = (x^2 - x/2 + 0.3)^2 > 0: broken SUSY
+            mode=Mode.SWKB_V1, profile=lambda x: np.asarray(x, float) ** 2 - 0.5 * x + 0.3, window=(-3.0, 3.0)
+        ),
+    ],
+    ids=["morse", "scarf1", "broken"],
+)
+def test_fminbound_port_matches_scipy_bit_for_bit(prob):
+    from scipy.optimize import minimize_scalar
+
+    xs, u = prob.scan
+    i = int(np.argmin(u))
+    f = lambda x: float(prob.well(x))
+    # quantize's bracket of the scan nodes next to the minimum, and a wider, lopsided one
+    for lo, hi in ((xs[i - 1], xs[i + 1]), (xs[i - 40], xs[i + 70])):
+        ref = minimize_scalar(f, bounds=(lo, hi), method="bounded", options={"xatol": 1e-13})
+        assert _fminbound(f, lo, hi) == ref.fun
