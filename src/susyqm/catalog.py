@@ -54,8 +54,6 @@ class SipEntry:
     w_minus: Optional[float] = None  # finite asymptote => scattering supported
     w_plus: Optional[float] = None
     box: tuple[float, float] = (-10.0, 10.0)  # numeric window (walls clipped to domain)
-    n_points: int = 4001  # grid on which numeric_levels returns psi
-    radial: bool = False
 
     def superpotential(self, params: Optional[dict] = None) -> Superpotential:
         """W at params (default: the entry's), with p's own finite asymptotes.
@@ -72,7 +70,6 @@ class SipEntry:
             w=lambda x: self.w_of(np.asarray(x, dtype=float), p),
             w_prime=lambda x: self.w_prime_of(np.asarray(x, dtype=float), p),
             domain=self.domain,
-            params=p,
             w_minus=limit(self.w_minus, -math.inf),
             w_plus=limit(self.w_plus, math.inf),
         )
@@ -127,7 +124,6 @@ def _oscillator_3d(omega=2.0, l=0.0):
         domain=(0.0, math.inf),
         wall_lo=True,
         box=(0.0, 6.0 * 8.0 / 8.0 / math.sqrt(omega / 2.0) + 6.0),
-        radial=True,
     )
 
 
@@ -147,7 +143,6 @@ def _coulomb(e2=2.0, l=0.0):
         domain=(0.0, math.inf),
         wall_lo=True,
         box=(0.0, 100.0 * 2.0 / e2),
-        radial=True,
         w_plus=e2 / (2.0 * (l + 1.0)),
     )
 
@@ -260,7 +255,6 @@ def _eckart(A=2.0, B=25.0, alpha=1.0):
         n_bound=_strict_count((math.sqrt(B) - A) / alpha),
         w_plus=-A + B / A,
         box=(0.0, 22.0 / alpha),
-        radial=True,
     )
 
 
@@ -307,7 +301,6 @@ def _poschl_teller(A=3.0, B=5.0, alpha=1.0):
         n_bound=_strict_count(A / alpha),
         w_plus=A,
         box=(0.0, 36.0 / alpha),
-        radial=True,
     )
 
 
@@ -463,7 +456,7 @@ def well_hierarchy_potential(p: int, L: float = math.pi):
     return v
 
 
-def _warn_if_not_friedrichs(entry: SipEntry, p: dict) -> None:
+def _warn_if_not_friedrichs(entry: SipEntry) -> None:
     """Warn when the closed-form ground state vanishes at a wall as the smaller
     Frobenius root.
 
@@ -479,7 +472,7 @@ def _warn_if_not_friedrichs(entry: SipEntry, p: dict) -> None:
         if not on:
             continue
         d = np.array([rho, 2.0 * rho])
-        f = -sense * d * np.asarray(entry.w_of(wall + sense * d, p), dtype=float)
+        f = -sense * d * np.asarray(entry.w_of(wall + sense * d, entry.params), dtype=float)
         s = 2.0 * f[0] - f[1]  # d W extrapolated to the wall
         if s < 0.5:
             warnings.warn(
@@ -490,9 +483,7 @@ def _warn_if_not_friedrichs(entry: SipEntry, p: dict) -> None:
             )
 
 
-def numeric_levels(
-    entry: SipEntry, count: int, n_points: Optional[int] = None, params: Optional[dict] = None
-) -> list[EigenPair]:
+def numeric_levels(entry: SipEntry, count: int, n_points: int = 4001) -> list[EigenPair]:
     """Numeric spectrum of V1 on the entry's box (independent oracle).
 
     The spectral engine picks its basis from the entry's walls: the sine DVR
@@ -504,14 +495,13 @@ def numeric_levels(
     """
     from .spectral import spectral_bound_states
 
-    p = dict(entry.params if params is None else params)
-    _warn_if_not_friedrichs(entry, p)
+    _warn_if_not_friedrichs(entry)
     return spectral_bound_states(
-        lambda x: entry.v1(x, p),
+        entry.v1,
         entry.box,
         count,
         walls=(entry.wall_lo, entry.wall_hi),
-        n_points=entry.n_points if n_points is None else n_points,
+        n_points=n_points,
     )
 
 

@@ -5,8 +5,9 @@ echoes the inputs and carries per-operation outputs plus discretization
 diagnostics. Exit codes: 0 success, 1 numeric failure, 2 configuration error.
 Each distinct warning a run raises is printed once on stderr as "warning: ...".
 A reader that closes stdout early (`susyqm check | head -3`) ends the run
-quietly with exit 1. Only `figures` and `check` load scipy (`scipy.linalg`, for the
-bound-state eigensolver); the other commands load none.
+quietly with exit 1. Each subcommand defines only the flags its handler reads.
+Only `figures` and `check` load scipy (`scipy.linalg`, for the bound-state
+solvers); the other commands load none.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from .catalog import (
 from .core import Superpotential
 from .eigensolver import SolverError
 from .expressions import ExpressionError, compile_expression
-from .grids import Grid, GridError, SampledFunction
+from .grids import Grid, GridError
 from .isospectral import IsoFamily, IsospectralError, admissible
 from .periodic import LameSpec, PeriodicError, lame_band_edges, lame_potential, numeric_band_edges
 from .scattering import ScatterError, numeric_rt_for
@@ -152,12 +153,16 @@ def _emit_json(cfg: RunConfig, outputs: dict, diagnostics: dict):
         stream.write("\n")
 
 
-def _lookup(cfg: RunConfig):
-    """sip_lookup with name/parameter mistakes reported as configuration errors."""
+def _refuse_units(cfg: RunConfig) -> None:
     if cfg.hbar != 1.0 or cfg.mass2 != 1.0:
         raise ConfigError(
             "--hbar and --mass2 apply to --w-expr only; catalog potentials use hbar = 2m = 1"
         )
+
+
+def _lookup(cfg: RunConfig):
+    """sip_lookup with name/parameter mistakes reported as configuration errors."""
+    _refuse_units(cfg)
     try:
         return sip_lookup(cfg.potential, **cfg.params)
     except TypeError as exc:
@@ -204,9 +209,16 @@ def _cmd_partner(cfg: RunConfig) -> int:
 def _partner_series(cfg: RunConfig) -> tuple[Grid, dict, dict]:
     hierarchy = cfg.extra.get("hierarchy", 0)
     if cfg.potential == "well":
-        length = float(cfg.params.get("L", math.pi))
+        if cfg.w_expr is not None:
+            raise ConfigError("choose exactly one of --potential or --w-expr")
+        _refuse_units(cfg)
+        if set(cfg.params) - {"L"}:
+            raise ConfigError(f"bad parameters for 'well': it takes L only, got {sorted(cfg.params)}")
+        length = cfg.params.get("L", math.pi)
+        if not length > 0:
+            raise ConfigError(f"well width L must be positive, got {_fmt(length)}")
         v = well_hierarchy_potential(max(hierarchy, 1) - 1, length)
-        grid = Grid(length * 1e-4, length * (1 - 1e-4), cfg.grid[2] if cfg.grid else 2001)
+        grid = Grid(*cfg.grid) if cfg.grid else Grid(length * 1e-4, length * (1 - 1e-4), 2001)
         return grid, {"v": v(grid.points)}, {}
     if hierarchy > 0:
         if cfg.potential is None:
@@ -322,10 +334,19 @@ def _cmd_swkb(cfg: RunConfig) -> int:
     return 0
 
 
+_BANDS_SOURCES = "choose --lame a=N [--m M] or --v-expr EXPR --period P [--params k=v,...]"
+
+
 def _cmd_bands(cfg: RunConfig) -> int:
     lame = cfg.extra.get("lame")
     count = cfg.extra.get("count")
+    expr = cfg.extra.get("v_expr")
+    period = cfg.extra.get("period")
     if lame:
+        stray = {"--v-expr": expr, "--period": period, "--params": cfg.params or None}
+        for flag, value in stray.items():
+            if value is not None:
+                raise ConfigError(f"{flag} does not apply to --lame; {_BANDS_SOURCES}")
         try:
             a = int(str(lame).split("=")[-1])
         except ValueError as exc:
@@ -350,10 +371,10 @@ def _cmd_bands(cfg: RunConfig) -> int:
             {"a": a, "m": m, "period": spec.period},
         )
         return 0
-    expr = cfg.extra.get("v_expr")
-    period = cfg.extra.get("period")
     if not expr or period is None:
-        raise ConfigError("bands needs either --lame a=N [--m M] or --v-expr with --period")
+        raise ConfigError(f"bands needs a potential: {_BANDS_SOURCES}")
+    if "m" in cfg.extra:
+        raise ConfigError(f"--m does not apply to --v-expr; {_BANDS_SOURCES}")
     if period <= 0:
         raise ConfigError(f"--period must be positive, got {_fmt(period)}")
     v = compile_expression(expr, cfg.params)
@@ -372,33 +393,22 @@ def _cmd_figures(cfg: RunConfig) -> int:
     manifest = {}
 
     # singular partner of the flat box: both wells with their first eigenfunctions
-    from .eigensolver import bound_states
+    from .spectral import spectral_bound_states
 
     grid = Grid(0.0, math.pi, 2001)
     x = grid.points.copy()
-    x[0], x[-1] = x[1], x[-2]
-    rows = []
-    flat = well_hierarchy_potential(0)
-    steep = well_hierarchy_potential(1)
-    lv0 = bound_states(SampledFunction(grid, np.asarray(flat(x))), 2, check_decay=False)
-    lv1 = bound_states(SampledFunction(grid, np.asarray(steep(x))), 2, check_decay=False)
-    for i in range(grid.n_points):
-        rows.append(
-            [
-                grid.points[i],
-                float(np.asarray(flat(x))[i]),
-                float(np.asarray(steep(x))[i]),
-                lv0[0].psi.values[i],
-                lv0[1].psi.values[i],
-                lv1[0].psi.values[i],
-                lv1[1].psi.values[i],
-            ]
-        )
+    x[0], x[-1] = x[1], x[-2]  # V is infinite on the walls: the CSV repeats the next sample
+    wells = (well_hierarchy_potential(0), well_hierarchy_potential(1))
+    psis = [
+        pair.psi.values
+        for v in wells
+        for pair in spectral_bound_states(v, (0.0, math.pi), 2, (True, True), grid.n_points)
+    ]
     name = "box_and_singular_partner.csv"
     _write_csv(
         os.path.join(outdir, name),
         ["x", "v_box", "v_partner", "psi0_box", "psi1_box", "psi0_partner", "psi1_partner"],
-        rows,
+        np.column_stack([grid.points, *(v(x) for v in wells), *psis]),
     )
     manifest[name] = "flat box and its inverse-square partner with their two lowest states"
 
@@ -483,54 +493,57 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"susyqm {__version__}")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def common(p, potential: bool = True):
-        if potential:
-            p.add_argument("--potential", help="catalog entry name")
-            p.add_argument("--params", help="comma-separated name=value parameters")
-            p.add_argument("--w-expr", dest="w_expr", help="inline superpotential expression in x")
-            p.add_argument("--grid", help="lo,hi,n sampling grid")
-            p.add_argument("--hbar", type=float, default=1.0)
-            p.add_argument("--mass2", type=float, default=1.0, help="2m in chosen units")
+    def catalog(p):
+        p.add_argument("--potential", help="catalog entry name")
+        p.add_argument("--params", help="comma-separated name=value parameters")
+
+    def inline(p):
+        p.add_argument("--w-expr", dest="w_expr", help="inline superpotential expression in x")
+        p.add_argument("--grid", help="lo,hi,n sampling grid")
+        p.add_argument("--hbar", type=float, default=1.0)
+        p.add_argument("--mass2", type=float, default=1.0, help="2m in chosen units")
+
+    def output(p):
         p.add_argument("--format", dest="out_format", choices=("csv", "json"), default="csv")
         p.add_argument("--output", help="output file (default: stdout)")
-        p.add_argument("--config", help="JSON file of flag values; explicit flags win")
 
-    p = sub.add_parser("partner", help="partner potentials, or a hierarchy member")
-    common(p)
+    def add(name, help, *groups):
+        """A subcommand with the flag groups its handler reads, and --config."""
+        p = sub.add_parser(name, help=help)
+        for group in groups:
+            group(p)
+        p.add_argument("--config", help="JSON file of flag values; explicit flags win")
+        return p
+
+    p = add("partner", "partner potentials, or a hierarchy member", catalog, inline, output)
     p.add_argument("--hierarchy", type=_int_from(0), help="emit the s-th hierarchy member")
 
-    p = sub.add_parser("spectrum", help="closed-form bound spectrum of a catalog entry")
-    common(p)
+    p = add("spectrum", "closed-form bound spectrum of a catalog entry", catalog, output)
     p.add_argument("--levels", type=_int_from(1), default=6)
 
-    p = sub.add_parser("scatter", help="reflection/transmission amplitudes")
-    common(p)
+    p = add("scatter", "reflection/transmission amplitudes", catalog, inline, output)
     p.add_argument("--k", help="comma-separated positive incident momenta (default 0.5,1,2)")
     p.add_argument("--side", type=int, choices=(1, 2), default=1)
     p.add_argument("--steps", type=_int_from(1), default=8000)
 
-    p = sub.add_parser("isospectral", help="one-parameter isospectral family curves")
-    common(p)
+    p = add("isospectral", "one-parameter isospectral family curves", catalog, inline, output)
     p.add_argument("--lambdas", help="comma-separated deformation parameters, each > 0 or < -1")
 
-    p = sub.add_parser("swkb", help="semiclassical vs exact level table")
-    common(p)
+    p = add("swkb", "semiclassical vs exact level table", catalog, output)
     p.add_argument("--levels", type=_int_from(1), default=4)
 
-    p = sub.add_parser("bands", help="band edges of a periodic well")
-    common(p)
+    p = add("bands", "band edges of a periodic well", output)
     p.add_argument("--lame", help="a=1 or a=2 elliptic well")
-    p.add_argument("--m", type=float, help="elliptic parameter in (0,1)")
+    p.add_argument("--m", type=float, help="elliptic parameter of --lame, in (0,1)")
     p.add_argument("--count", type=_int_from(1), help="number of edges")
     p.add_argument("--v-expr", dest="v_expr", help="inline periodic potential expression")
     p.add_argument("--period", type=float, help="period of --v-expr, > 0")
+    p.add_argument("--params", help="comma-separated name=value parameters of --v-expr")
 
-    p = sub.add_parser("figures", help="write plot-ready data files plus a manifest")
-    common(p)
+    p = add("figures", "write plot-ready data files plus a manifest")
     p.add_argument("--outdir", help="output directory (default: SUSYQM_OUTDIR or .)")
 
-    p = sub.add_parser("check", help="run the full invariant suite")
-    common(p, potential=False)  # a fixed suite: no potential, grid or units to choose
+    add("check", "run the full invariant suite", output)  # a fixed suite: no potential to choose
     return parser
 
 
@@ -556,8 +569,8 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         grid=_parse_grid(given.get("grid")),
         hbar=given.get("hbar", 1.0),
         mass2=given.get("mass2", 1.0),
-        out_format=args.out_format,
-        output=args.output,
+        out_format=given.get("out_format", "csv"),
+        output=given.get("output"),
         extra={k: v for k, v in given.items() if k not in named and v is not None},
     )
 

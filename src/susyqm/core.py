@@ -11,7 +11,7 @@ zero mode exp(-(1/c) \\int W) and A / Adag map eigenstates between the partners.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Optional
 
@@ -45,7 +45,6 @@ class Superpotential:
     w: Callable[[np.ndarray], np.ndarray]
     domain: tuple[float, float] = (-math.inf, math.inf)
     w_prime: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    params: dict = field(default_factory=dict)
     hbar: float = 1.0
     mass2: float = 1.0  # 2m
     w_minus: Optional[float] = None

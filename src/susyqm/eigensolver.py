@@ -1,15 +1,14 @@
-"""Bound states of -c^2 psi'' + V psi = E psi from samples of V, and the level type.
+"""Bound states of -psi'' + V psi = E psi from samples of V, and the level type.
 
 bound_states solves potentials known only by their samples on a uniform grid:
-the isospectral families, the V1/V2 samples of check_degeneracy, and the well
-ladder of check_well_ladder and of the figures command. It uses the
-symmetric 3-point stencil and sharpens eigenvalues by Richardson
-extrapolation between the grid and its 2h coarsening. dirichlet_tridiagonal is
-the one assembly of that stencil: the fine grid, the coarse grid and the
-direct route of core.algebra_check all use it. EigenPair is the level type of
-every solver. A callable V, catalog wells included, goes to the spectral
-engine in spectral; band edges of periodic wells come from the
-Fourier-Floquet-Hill solver in periodic.
+the isospectral family members and the V1/V2 samples of check_degeneracy,
+in units hbar = 2m = 1. It uses the symmetric 3-point stencil and sharpens
+eigenvalues by Richardson extrapolation between the grid and its 2h
+coarsening. dirichlet_tridiagonal is the one assembly of that stencil: the
+fine grid, the coarse grid and the direct route of core.algebra_check all use
+it. EigenPair is the level type of every solver. A callable V, catalog wells
+and the well ladder included, goes to the spectral engine in spectral; band
+edges of periodic wells come from the Fourier-Floquet-Hill solver in periodic.
 """
 
 from __future__ import annotations
@@ -51,10 +50,6 @@ class EigenPair:
         return self._psi
 
 
-def _c2(hbar: float, mass2: float) -> float:
-    return hbar**2 / mass2
-
-
 def _flip_sign(values: np.ndarray) -> float:
     """-1 if the first lobe above half the peak is negative, else +1."""
     mag = np.abs(values)
@@ -78,15 +73,8 @@ def lowest_eigenvalues(d: np.ndarray, e: np.ndarray, count: int) -> np.ndarray:
     return eigh_tridiagonal(d, e, select="i", select_range=(0, count - 1), eigvals_only=True)
 
 
-def bound_states(
-    v: SampledFunction,
-    count: int,
-    hbar: float = 1.0,
-    mass2: float = 1.0,
-    richardson: bool = True,
-    check_decay: bool = True,
-) -> list[EigenPair]:
-    """Lowest `count` Dirichlet eigenpairs of -c^2 psi'' + V psi = E psi.
+def bound_states(v: SampledFunction, count: int, check_decay: bool = True) -> list[EigenPair]:
+    """Lowest `count` Dirichlet eigenpairs of -psi'' + V psi = E psi.
 
     Eigenvectors come from the fine grid; energies are Richardson-extrapolated
     against the 2h coarsening when the point count allows it. Each level's
@@ -101,23 +89,22 @@ def bound_states(
 
     grid, vals = v.grid, v.values
     h = grid.h
-    c2 = _c2(hbar, mass2)
     n_int = grid.n_points - 2
     if count > n_int:
         raise SolverError("more states requested than interior grid points")
 
     energies, vecs = eigh_tridiagonal(
-        *dirichlet_tridiagonal(vals, h, c2), select="i", select_range=(0, count - 1)
+        *dirichlet_tridiagonal(vals, h, 1.0), select="i", select_range=(0, count - 1)
     )
     errors = np.full(count, math.nan)
 
-    if richardson and grid.n_points % 2 == 1 and grid.n_points >= 9:
-        coarse = lowest_eigenvalues(*dirichlet_tridiagonal(vals[::2], 2 * h, c2), count)
+    if grid.n_points % 2 == 1 and grid.n_points >= 9:
+        coarse = lowest_eigenvalues(*dirichlet_tridiagonal(vals[::2], 2 * h, 1.0), count)
         k = coarse.size
         energies = energies.copy()
         energies[:k] = (4.0 * energies[:k] - coarse) / 3.0
         if grid.n_points % 4 == 1 and grid.n_points >= 17:
-            coarser = lowest_eigenvalues(*dirichlet_tridiagonal(vals[::4], 4 * h, c2), count)
+            coarser = lowest_eigenvalues(*dirichlet_tridiagonal(vals[::4], 4 * h, 1.0), count)
             j = coarser.size
             errors[:j] = np.abs(energies[:j] - (4.0 * coarse[:j] - coarser) / 3.0)
 
@@ -155,11 +142,7 @@ def bound_states_of(
     x_max: float,
     count: int,
     n_points: int = 4001,
-    hbar: float = 1.0,
-    mass2: float = 1.0,
-    **kw,
+    check_decay: bool = True,
 ) -> list[EigenPair]:
     """Convenience wrapper: sample a callable potential, then solve."""
-    return bound_states(
-        sample(v_callable, Grid(x_min, x_max, n_points)), count, hbar, mass2, **kw
-    )
+    return bound_states(sample(v_callable, Grid(x_min, x_max, n_points)), count, check_decay)

@@ -93,9 +93,13 @@ class IsoFamily:
                 f"lam = {lam} is not admissible (need lam > 0 or lam < -1)"
             )
 
-    def _log_second_derivative(self, lam: float) -> np.ndarray:
-        """(d^2/dx^2) ln(I + lam) through I' = psi0^2, psi0' = -(W/c) psi0."""
+    def _member(self, lam: float) -> SampledFunction:
+        """V1 - 2 c^2 (d^2/dx^2) ln(I + lam) for any lam, the boundary values 0 and -1 included.
+
+        The second derivative is assembled through I' = psi0^2, psi0' = -(W/c) psi0.
+        """
         x = self.grid.points
+        v1 = self.source.v1(x)
         c = self.source.c
         p2 = self.psi0.values**2
         u = self._u(lam)
@@ -105,14 +109,13 @@ class IsoFamily:
         # where u underflows to 0 in the tail, substitute the limit p2/u -> -2W/c
         tail = (u == 0.0) | ((p2 == 0.0) & (np.abs(u) < 0.5))
         ratio = np.where(tail, -2.0 * wv / c, ratio)
-        return -(2.0 * wv / c) * ratio - ratio**2
+        log_second = -(2.0 * wv / c) * ratio - ratio**2
+        return SampledFunction(self.grid, v1 - 2.0 * c**2 * log_second)
 
     def potential(self, lam: float) -> SampledFunction:
         """Vhat(x; lam) = V1 - 2 c^2 (d^2/dx^2) ln(I + lam), assembled analytically."""
         self._check(lam)
-        v1 = self.source.v1(self.grid.points)
-        vhat = v1 - 2.0 * self.source.c**2 * self._log_second_derivative(lam)
-        return SampledFunction(self.grid, vhat)
+        return self._member(lam)
 
     def superpotential_values(self, lam: float) -> SampledFunction:
         """What = W + c psi0^2 / (I + lam); the whole family shares V2 = What^2 + c What'."""
@@ -174,15 +177,4 @@ def pursey_abraham_moses(fam: IsoFamily) -> tuple[SampledFunction, SampledFuncti
     stays finite because psi0^2 / I tends to the limit -2W/c in the tail
     where both vanish (and likewise psi0^2 / (I - 1) on the other side).
     """
-    fam._check(1.0)  # grid-quality validation only
-    v_p = SampledFunction(
-        fam.grid,
-        fam.source.v1(fam.grid.points)
-        - 2.0 * fam.source.c**2 * fam._log_second_derivative(0.0),
-    )
-    v_am = SampledFunction(
-        fam.grid,
-        fam.source.v1(fam.grid.points)
-        - 2.0 * fam.source.c**2 * fam._log_second_derivative(-1.0),
-    )
-    return v_p, v_am
+    return fam._member(0.0), fam._member(-1.0)

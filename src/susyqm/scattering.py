@@ -212,5 +212,5 @@ def numeric_rt_for(
     wm, wp = _asymptotes(w)
     v = w.v1 if side == 1 else w.v2
     return numeric_rt(
-        v, energy, x_left, x_right, v_left=wm**2, v_right=wp**2, **kw
+        v, energy, x_left, x_right, v_left=wm**2, v_right=wp**2, hbar=w.hbar, mass2=w.mass2, **kw
     )

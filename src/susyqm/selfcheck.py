@@ -61,16 +61,14 @@ def _result(name: str, passed: bool, detail: str) -> CheckResult:
 
 def check_well_ladder() -> CheckResult:
     """Singular-well ladder p=0,1,2: levels n(n+2p+2) above a 2p+1 ground level."""
+    from .spectral import spectral_bound_states  # on use: keeps scipy off `import selfcheck`
+
     name = "well ladder spectra and ground shapes"
     worst_e, worst_ov = 0.0, 0.0
     grid = Grid(0.0, math.pi, 4001)
-    x = grid.points.copy()
-    x[0], x[-1] = x[1], x[-2]  # sentinels at the Dirichlet walls
     for p in (0, 1, 2):
         v = well_hierarchy_potential(p)
-        levels = bound_states(
-            SampledFunction(grid, np.asarray(v(x), dtype=float)), 5, check_decay=False
-        )
+        levels = spectral_bound_states(v, (0.0, math.pi), 5, (True, True), grid.n_points)
         e0 = levels[0].energy
         worst_e = max(worst_e, abs(e0 - (2 * p + 1)))
         for n, pair in enumerate(levels):

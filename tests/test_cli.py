@@ -381,3 +381,106 @@ def test_check_refuses_potential_flags(capsys, flag, value):
     assert code == 2 and captured.out == ""
     assert captured.err.startswith("configuration error:") and flag in captured.err
     assert captured.err.count("\n") == 1
+
+
+# each subcommand defines only the flags its handler reads
+SUBCOMMAND_FLAGS = {
+    "partner": "potential params w-expr grid hbar mass2 format output config hierarchy",
+    "spectrum": "potential params format output config levels",
+    "scatter": "potential params w-expr grid hbar mass2 format output config k side steps",
+    "isospectral": "potential params w-expr grid hbar mass2 format output config lambdas",
+    "swkb": "potential params format output config levels",
+    "bands": "format output config lame m count v-expr period params",
+    "figures": "config outdir",
+    "check": "format output config",
+}
+
+
+def test_each_subcommand_defines_only_the_flags_it_reads():
+    import argparse
+
+    from susyqm.cli import _build_parser
+
+    (sub,) = [a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    defined = {
+        name: {opt[2:] for a in p._actions for opt in a.option_strings if opt not in ("-h", "--help")}
+        for name, p in sub.choices.items()
+    }
+    assert defined == {name: set(flags.split()) for name, flags in SUBCOMMAND_FLAGS.items()}
+    assert sum(len(flags) for flags in defined.values()) == 58
+
+
+_BASE = {
+    "spectrum": ["spectrum", "--potential", "sech2"],
+    "swkb": ["swkb", "--potential", "morse", "--levels", "1"],
+    "bands": ["bands", "--lame", "a=1"],
+    "bands-v-expr": ["bands", "--v-expr", "sin(x)^2", "--period", "3"],
+    "figures": ["figures", "--outdir", "out"],
+}
+_UNREAD = [
+    *(("spectrum", flag, value) for flag, value in
+      (("--w-expr", "x"), ("--grid=0,1,5", None), ("--hbar", "2"), ("--mass2", "2"))),
+    *(("swkb", flag, value) for flag, value in
+      (("--w-expr", "x"), ("--grid=0,1,5", None), ("--hbar", "2"), ("--mass2", "2"))),
+    *(("bands", flag, value) for flag, value in
+      (("--potential", "morse"), ("--w-expr", "x"), ("--grid=0,1,5", None), ("--hbar", "3"),
+       ("--mass2", "2"))),
+    *(("figures", flag, value) for flag, value in
+      (("--potential", "morse"), ("--params", "A=1"), ("--w-expr", "x"), ("--grid=0,1,5", None),
+       ("--hbar", "2"), ("--mass2", "2"), ("--format", "json"), ("--output", "o.json"))),
+    # defined flags that the chosen potential source does not read
+    ("bands", "--v-expr", "sin(x)^2"),
+    ("bands", "--period", "2"),
+    ("bands", "--params", "A=1"),
+    ("bands-v-expr", "--m", "0.5"),
+]
+
+
+@pytest.mark.parametrize("base, flag, value", _UNREAD, ids=[f"{b}{f}" for b, f, _ in _UNREAD])
+def test_unread_flags_are_configuration_errors(tmp_path, monkeypatch, capsys, base, flag, value):
+    monkeypatch.chdir(tmp_path)
+    code = main(_BASE[base] + [flag] + ([] if value is None else [value]))
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err.startswith("configuration error:") and err.count("\n") == 1
+    assert flag.split("=")[0] in err
+    assert list(tmp_path.iterdir()) == []  # nothing written
+
+
+@pytest.mark.parametrize("units", [["--hbar", "2"], ["--mass2", "0.25"]], ids=["hbar", "mass2"])
+def test_scatter_w_expr_propagates_in_its_own_units(capsys, units):
+    # W = 2 tanh x at c = 2 is the reflectionless -2 sech^2 well in units of c^2:
+    # |R| = 0 and t = (1 - ik)/(-1 - ik) for every k
+    argv = ["scatter", "--w-expr", "2*tanh(x)", "--grid=-16,16,2001", "--k", "0.5,1,2", *units]
+    code, out = run(capsys, *argv)
+    assert code == 0
+    for k, _, _, _, re_t, im_t, prob_r, _ in parse_csv(out)[1]:
+        assert prob_r < 1e-20
+        assert complex(re_t, im_t) == pytest.approx((1 - 1j * k) / (-1 - 1j * k), abs=1e-8)
+
+
+def test_partner_well_reads_the_whole_grid(capsys):
+    argv = ["partner", "--potential", "well", "--hierarchy", "2", "--grid=0.5,2.5,5"]
+    code, out = run(capsys, *argv)
+    assert code == 0
+    rows = parse_csv(out)[1]
+    assert [r[0] for r in rows] == [0.5, 1.0, 1.5, 2.0, 2.5]
+    assert rows[2][1] == pytest.approx(2.0 / math.sin(1.5) ** 2 - 1.0)  # V2 = 2/sin^2 x - 1
+
+
+def test_partner_well_with_a_grid_point_on_a_wall_is_a_numeric_failure(capsys):
+    code, out = run(capsys, "partner", "--potential", "well", "--hierarchy", "2", "--grid=0,3,7")
+    assert code == 1 and out == ""
+
+
+@pytest.mark.parametrize(
+    "extra",
+    [["--hbar", "2"], ["--mass2", "2"], ["--params", "L=pi,A=1"], ["--params", "L=0"],
+     ["--w-expr", "x", "--grid=0.5,2.5,5"]],
+    ids=["hbar", "mass2", "unknown-param", "zero-width", "w-expr"],
+)
+def test_partner_well_refuses_what_it_cannot_read(capsys, extra):
+    code = main(["partner", "--potential", "well", "--hierarchy", "2", *extra])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err.startswith("configuration error:") and err.count("\n") == 1

@@ -79,3 +79,16 @@ def test_the_cli_does_not_load_the_spectral_engine():
     from susyqm.spectral import spectral_bound_states as engine
 
     assert spectral_bound_states is engine
+
+
+def test_importing_the_check_suite_loads_no_scipy_and_no_spectral_engine():
+    # transmission_sweep imports selfcheck for its parameter draws and must stay light
+    env = dict(os.environ)
+    env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
+    probe = (
+        "import json, sys, susyqm.selfcheck; "
+        "print(json.dumps(sorted(m for m in sys.modules "
+        "if m.split('.')[0] == 'scipy' or m == 'susyqm.spectral')))"
+    )
+    res = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env, timeout=120)
+    assert json.loads(res.stdout) == [], res.stderr
