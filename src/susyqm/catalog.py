@@ -11,7 +11,6 @@ polynomials. Units are hbar = 2m = 1 throughout the closed forms.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -456,53 +455,28 @@ def well_hierarchy_potential(p: int, L: float = math.pi):
     return v
 
 
-def _warn_if_not_friedrichs(entry: SipEntry) -> None:
-    """Warn when the closed-form ground state vanishes at a wall as the smaller
-    Frobenius root.
-
-    W ~ -+s/d at a wall, with d the distance to it, makes exp(-int W) go as d^s
-    and V1 ~ s(s - 1)/d^2. That V has the solutions d^s and d^(1 - s), and a
-    Dirichlet solver converges to the levels of the larger root. For s < 1/2
-    the catalog's spectrum belongs to the other one, so no such oracle can
-    reproduce it.
-    """
-    lo, hi = entry.box
-    rho = 1e-6 * (hi - lo)
-    for wall, sense, side, on in ((lo, 1.0, "lower", entry.wall_lo), (hi, -1.0, "upper", entry.wall_hi)):
-        if not on:
-            continue
-        d = np.array([rho, 2.0 * rho])
-        f = -sense * d * np.asarray(entry.w_of(wall + sense * d, entry.params), dtype=float)
-        s = 2.0 * f[0] - f[1]  # d W extrapolated to the wall
-        if s < 0.5:
-            warnings.warn(
-                f"{entry.name}: exp(-int W) goes as d^{s:.4g} at the {side} wall, the smaller "
-                f"root of V1 ~ s(s-1)/d^2; the numeric levels are those of d^{1.0 - s:.4g}, "
-                "not the closed form",
-                stacklevel=3,
-            )
-
-
 def numeric_levels(entry: SipEntry, count: int, n_points: int = 4001) -> list[EigenPair]:
     """Numeric spectrum of V1 on the entry's box (independent oracle).
 
     The spectral engine picks its basis from the entry's walls: the sine DVR
     on the box for wells with no wall, the Lagrange-Laguerre mesh on
     [box[0], inf) for a wall only at the left end (the box length sets its
-    scales), and the Jacobi mesh on the box for a wall at both ends. Levels
-    converge to 1e-10 relative, and n_points only sets the grid psi is
-    returned on.
+    scales), and the Lagrange-Jacobi mesh on the box for a wall at both ends.
+    At each wall psi goes as d^s with s = lim -+d W, the exponent of the
+    ground state exp(-int W): W picks the self-adjoint extension, also where
+    V1 ~ s (s - 1)/d^2 admits d^(1 - s) as well, while the energies still
+    come from V1 alone. Levels converge to 1e-10 relative, and n_points only
+    sets the grid psi is returned on.
     """
-    from .spectral import spectral_bound_states
+    from .spectral import _ground_state_exponent, spectral_bound_states
 
-    _warn_if_not_friedrichs(entry)
-    return spectral_bound_states(
-        entry.v1,
-        entry.box,
-        count,
-        walls=(entry.wall_lo, entry.wall_hi),
-        n_points=n_points,
+    lo, hi = entry.box
+    w = entry.superpotential().w
+    walls = tuple(
+        _ground_state_exponent(w, wall, hi - lo, sense) if on else False
+        for wall, sense, on in ((lo, 1.0, entry.wall_lo), (hi, -1.0, entry.wall_hi))
     )
+    return spectral_bound_states(entry.v1, entry.box, count, walls=walls, n_points=n_points)
 
 
 def numeric_grid(entry: SipEntry, n_points: int = 4001) -> Grid:

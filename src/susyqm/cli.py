@@ -486,9 +486,11 @@ def _int_from(lowest: int):
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    # allow_abbrev=False: an abbreviated flag is an unknown flag, not the one it prefixes
     parser = _Parser(
         prog="susyqm",
         description="Self-verifying toolkit for factorized quantum mechanics.",
+        allow_abbrev=False,
     )
     parser.add_argument("--version", action="version", version=f"susyqm {__version__}")
     sub = parser.add_subparsers(dest="subcommand", required=True)
@@ -509,7 +511,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def add(name, help, *groups):
         """A subcommand with the flag groups its handler reads, and --config."""
-        p = sub.add_parser(name, help=help)
+        p = sub.add_parser(name, help=help, allow_abbrev=False)
         for group in groups:
             group(p)
         p.add_argument("--config", help="JSON file of flag values; explicit flags win")
@@ -647,16 +649,16 @@ def _run(argv: Optional[list[str]]) -> int:
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         try:
-            return _DISPATCH[cfg.subcommand](cfg)
+            code = _DISPATCH[cfg.subcommand](cfg)
         except (ConfigError, ExpressionError) as exc:
             print(f"configuration error: {exc}", file=sys.stderr)
             return 2
-        except _NUMERIC_ERRORS as exc:
+        except _NUMERIC_ERRORS as exc:  # its one line, without the warnings that led to it
             print(f"numeric failure in {cfg.subcommand}: {exc}", file=sys.stderr)
             return 1
-        finally:
-            for message in dict.fromkeys(str(w.message) for w in caught):
-                print(f"warning: {message}", file=sys.stderr)
+    for message in dict.fromkeys(str(w.message) for w in caught):
+        print(f"warning: {message}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

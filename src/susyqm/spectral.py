@@ -6,12 +6,14 @@ are:
 - the sine DVR (Colbert & Miller, J. Chem. Phys. 96 (1992) 1982, App. A) on a
   finite box, with Dirichlet walls exactly at the box ends, for wells with no
   wall;
-- the regularized Lagrange-Laguerre mesh (Baye, Phys. Rep. 565 (2015) 1) on
-  the half line from the one wall. Its functions go as d^s in the distance d
-  to the wall, with s read off V there, and its scale is one of a fixed set
-  of fractions of the box length;
-- the regularized Jacobi mesh on [lo, hi] for wells with a wall at both ends:
-  d^s_lo and d^s_hi times the Jacobi polynomials of that weight.
+- a Lagrange-Laguerre mesh on the half line from the one wall, whose scale is
+  one of a fixed set of fractions of the box length;
+- a Lagrange-Jacobi mesh on [lo, hi] for wells with a wall at both ends.
+
+The two wall meshes are one assembly (_WallMesh) in ground-state form: psi =
+Phi p with Phi ~ d^s at each wall, p a polynomial at Gauss nodes, and the
+kinetic matrix from the nodes alone. s comes with the call (a catalog entry
+reads it off W, which picks the self-adjoint extension) or is read off V.
 
 V is evaluated only at the mesh nodes. N doubles until the lowest levels move
 by less than SPECTRAL_TOL between N/2 and N (the Laguerre scale is picked from
@@ -25,11 +27,12 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import partial
 from typing import Callable
 
 import numpy as np
-from scipy.linalg import eigh, eigh_tridiagonal
+from scipy.linalg import eigh_tridiagonal
+from scipy.linalg.lapack import dsyevr
 
 from .eigensolver import EigenPair, SolverError, _flip_sign
 from .grids import Grid, SampledFunction, count_nodes
@@ -42,13 +45,23 @@ _N_START = 16
 # spectra_grid, seeds 1-30, a scale of 1/320 won 7 and 1/640 none; without
 # them every draw still converges, 6 of them at the next N.
 LAGUERRE_SCALES = (40, 80, 160)
-_CHUNK = 1 << 18  # matrix entries per chunk when a Laguerre psi is built
+_CHUNK = 1 << 16  # matrix entries per chunk when a wall-mesh psi is built
 
 
 def _eigh_lowest(h: np.ndarray, count: int):
-    """Lowest `count` eigenpairs of the dense symmetric matrix h (overwritten)."""
+    """Lowest `count` eigenpairs of the dense symmetric matrix h (overwritten).
+
+    LAPACK's dsyevr finds a subset by bisection on the tridiagonal form, to
+    eps ||H|| by default. abstol = the smallest normal number asks for each
+    eigenvalue to full relative accuracy instead, at no visible cost: on the
+    wall meshes H is graded, with entries ~N^4 next to a wall, and on the
+    well ladder at N = 128 the default loses 2e-10 where this keeps 6e-13.
+    """
     # h.T is h in Fortran order, so LAPACK works in place instead of on a copy
-    return eigh(h.T, subset_by_index=(0, count - 1), overwrite_a=True, check_finite=False)
+    w, z, _, _, info = dsyevr(h.T, range="I", il=1, iu=count, abstol=np.finfo(float).tiny, overwrite_a=1)
+    if info:
+        raise SolverError(f"LAPACK dsyevr failed with info = {info}")
+    return w[:count], z[:, :count]
 
 
 @dataclass(frozen=True)
@@ -160,122 +173,59 @@ class _SineDVR:
         return out
 
 
-def _laguerre_functions(n: int, alpha: float, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """u_k(x) = x^(1+alpha/2) e^(-x/2) p_k(x) for k = n and n - 1, where p_k are the
-    orthonormal Laguerre polynomials of weight x^alpha e^-x, by their three-term
-    recurrence with the exponential spread over the n steps so nothing overflows."""
-    s = np.exp(-x / (2 * n))
-    prev = np.zeros_like(x)
-    cur = x ** (1.0 + 0.5 * alpha) * math.exp(-0.5 * math.lgamma(alpha + 1.0))
-    for k in range(n):
-        b_next = math.sqrt((k + 1) * (k + 1 + alpha))
-        b_k = math.sqrt(k * (k + alpha))
-        prev, cur = cur, s * ((2 * k + 1 + alpha - x) * cur - b_k * s * prev) / b_next
-    return cur, s * prev
-
-
-@lru_cache(maxsize=32)
-def _laguerre_nodes(n: int, alpha: float) -> tuple[np.ndarray, np.ndarray]:
-    """Zeros x_i of L_n^alpha and the factors q_i that give psi at the nodes.
-
-    The zeros are the eigenvalues of the Jacobi matrix, polished by one Newton
-    step. The regularized Lagrange function of node i is
-        f_i(x) = sign(q_i) u_n(x) / (sqrt(x_i) (x_i - x)),
-    which goes as x^(1+alpha/2) at the origin and has f_i(x_j) = |q_i| delta_ij,
-    with q_i = sqrt(n (n + alpha)) u_(n-1)(x_i) / x_i^(3/2).
-    """
-    k = np.arange(n, dtype=float)
-    x = eigh_tridiagonal(2.0 * k + 1.0 + alpha, np.sqrt(k[1:] * (k[1:] + alpha)), eigvals_only=True)
-    bn = math.sqrt(n * (n + alpha))
-    un, un1 = _laguerre_functions(n, alpha, x)
-    x = x - x * un / (n * un - bn * un1)
-    q = bn * _laguerre_functions(n, alpha, x)[1] / x**1.5
-    x.flags.writeable = q.flags.writeable = False
-    return x, q
+def _wall_limit(f, wall: float, sense: float, rho: float, power: int) -> float:
+    """lim d^power f(wall + sense d) as d -> 0, d = sense (r - wall) the
+    distance into the interval (sense = +1 for a wall at its lower end, -1 at
+    its upper end): the cubic through d = rho, 2 rho, 4 rho, 8 rho at d = 0,
+    which leaves 64 rho^4 c of a d^power f that goes as a + b d + ... + c d^4."""
+    d = rho * np.array([1.0, 2.0, 4.0, 8.0])
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        g = d**power * np.asarray(f(wall + sense * d), dtype=float)
+    if not np.all(np.isfinite(g)):
+        raise SolverError(f"not finite next to the wall at {wall:.6g}, {rho:.6g} inside")
+    return float(np.dot([64.0, -56.0, 14.0, -1.0], g)) / 21.0
 
 
 def _wall_exponent(v, wall: float, length: float, sense: float = 1.0) -> float:
-    """alpha = sqrt(1 + 4g) - 1 for V ~ g / d^2 at the wall, so psi ~ d^(1+alpha/2).
+    """s = 1/2 + sqrt(1/4 + g) for V ~ g / d^2 at the wall: psi ~ d^s, the
+    larger root of s (s - 1) = g, and s = 1 for a V finite at the wall.
 
-    d = sense (r - wall) is the distance into the interval: sense = +1 for a
-    wall at its lower end, -1 for one at its upper end. g is d^2 V
-    extrapolated to the wall by the cubic through d = rho, 2 rho, 4 rho,
-    8 rho, which leaves O(rho^4) of a V that goes as g/d^2 + c/d + e + ....
     rho is 1e-5 of the box length, but at least 100 times the step
     1e-6 max(1, |r|) with which core differentiates a W that has no w_prime,
     so a V1 built that way neither samples W beyond the wall nor carries more
-    than a few 1e-8 of relative error there. A V that stays finite at the
-    wall gives g = 0.
+    than a few 1e-8 of relative error there.
     """
-    rho = max(1e-5 * length, 1e-4 * max(1.0, abs(wall))) * np.array([1.0, 2.0, 4.0, 8.0])
-    with np.errstate(over="ignore", invalid="ignore"):
-        f = rho**2 * np.asarray(v(wall + sense * rho), dtype=float)
-    if not np.all(np.isfinite(f)):
-        raise SolverError(f"V is not finite next to the wall at {wall:.6g}, {rho[0]:.6g} inside")
-    g = float(np.dot([64.0, -56.0, 14.0, -1.0], f)) / 21.0  # the cubic's value at the wall
+    g = _wall_limit(v, wall, sense, max(1e-5 * length, 1e-4 * max(1.0, abs(wall))), 2)
     if not g > -0.25:
         raise SolverError(
             f"V ~ {g:.6g} / d^2 at the wall at {wall:.6g}: no ground state below -1/(4 d^2)"
         )
-    return math.sqrt(1.0 + 4.0 * g) - 1.0
+    return 0.5 + math.sqrt(0.25 + g)
 
 
-class _LaguerreMesh:
-    """Regularized Lagrange-Laguerre mesh r_i = wall + sense h x_i on the half
-    line from the wall at lo (sense +1) or at hi (sense -1), psi ~ d^(1+alpha/2)
-    at the wall, one candidate per scale h = (hi - lo) / s for s in
-    LAGUERRE_SCALES."""
+def _ground_state_exponent(w, wall: float, length: float, sense: float) -> float:
+    """s = lim -+d W at the wall, so the ground state exp(-int W) goes as d^s.
 
-    def __init__(self, v, lo: float, hi: float, wall_at_hi: bool = False):
-        self.wall, self.sense = (hi, -1.0) if wall_at_hi else (lo, 1.0)
-        self.scales = [(hi - lo) / s for s in LAGUERRE_SCALES]
-        self.alpha = _wall_exponent(v, self.wall, hi - lo, self.sense)
+    Where s < 1/2 this is the smaller root of s (s - 1) = lim d^2 V1, which
+    V1 alone cannot tell from 1 - s. rho is 1e-4 |wall|: the position of a
+    wall at |wall| ~ 1 is known to about 1e-16, which is then 1e-12 of rho.
+    A wall at 0 has no such rounding, and rho = 1e-6 of the box length keeps
+    the cubic's 64 rho^4 c below 1e-16 (on poschl_teller A = 3, B = 3.1,
+    rho = 3.6e-4 left 1.4e-13 in s and 2.6e-10 in the levels).
+    """
+    return -sense * _wall_limit(w, wall, sense, max(1e-6 * length, 1e-4 * abs(wall)), 1)
 
-    def levels(self, v, n: int, count: int) -> list[_Levels]:
-        x, q = _laguerre_nodes(n, self.alpha)
-        # kinetic matrix of -d^2/dx^2 in the Gauss approximation (Baye 2015)
-        sign = np.sign(q)
-        xi, xj = x[:, None], x[None, :]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            t = sign[:, None] * sign * (xi + xj) / (np.sqrt(xi * xj) * (xi - xj) ** 2)
-        a = self.alpha
-        t[np.diag_indices(n)] = ((4 * n + 2 * a + 2) * x + 4.0 - a * a - x * x) / (12.0 * x * x)
-        out = []
-        for h in self.scales:
-            vx = _potential_at(v, self.wall + self.sense * h * x)
-            mat = t / h**2
-            mat[np.diag_indices(n)] += vx
-            energies, coef = _eigh_lowest(mat, count)
-            values = coef * (np.abs(q) / math.sqrt(h))[:, None]
-            edge = float(vx[-1])
-            out.append(
-                _Levels(
-                    energies,
-                    coef,
-                    values if self.sense > 0 else values[::-1],  # in the order of x
-                    edge,
-                    energies < edge,
-                    partial(self.psi, h),
-                )
-            )
-        return out
 
-    def psi(self, h: float, coef: np.ndarray, grid: Grid) -> np.ndarray:
-        """psi = sum_i coef_i f_i(|r - wall|/h) / sqrt(h) on the grid, in chunks of rows."""
-        n = coef.size
-        xn, q = _laguerre_nodes(n, self.alpha)
-        x = self.sense * (grid.points - self.wall) / h
-        un, _ = _laguerre_functions(n, self.alpha, x)
-        w = coef * np.sign(q) / np.sqrt(xn)
-        out = np.empty_like(x)
-        rows = max(1, _CHUNK // n)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            for i in range(0, x.size, rows):
-                xc = x[i : i + rows]
-                out[i : i + rows] = un[i : i + rows] * (w / (xn - xc[:, None])).sum(axis=1)
-        hit = ~np.isfinite(out)  # a grid point on a node
-        out[hit] = [coef[j] * abs(q[j]) for j in np.argmin(np.abs(x[hit, None] - xn), axis=1)]
-        return out / math.sqrt(h)
+def _is_wall(end) -> bool:
+    return isinstance(end, float) or bool(end)
+
+
+def _exponent(end, v, wall: float, length: float, sense: float) -> float:
+    """The wall exponent s of one end of walls: the float given, or read off V for True."""
+    s = float(end) if isinstance(end, float) else _wall_exponent(v, wall, length, sense)
+    if not s > 0.0:
+        raise SolverError(f"wall exponent {s:.6g} at {wall:.6g}: psi ~ d^s needs s > 0")
+    return s
 
 
 def _jacobi_recurrence(n: int, a: float, b: float) -> tuple[np.ndarray, np.ndarray, float]:
@@ -294,88 +244,149 @@ def _jacobi_recurrence(n: int, a: float, b: float) -> tuple[np.ndarray, np.ndarr
     return d, e, math.exp(-0.5 * (log_mass - math.lgamma(a + b + 2.0)))
 
 
-def _jacobi_polynomials(n: int, a: float, b: float, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """p_0..p_(n-1) of weight (1 - u)^a (1 + u)^b and their derivatives at u, as (n, u.size) rows."""
-    d, e, p0 = _jacobi_recurrence(n, a, b)
-    p, dp = np.zeros((n, u.size)), np.zeros((n, u.size))
-    p[0] = p0
-    for k in range(n - 1):
-        p[k + 1] = (u - d[k]) * p[k]
-        dp[k + 1] = p[k] + (u - d[k]) * dp[k]
-        if k:
-            p[k + 1] -= e[k - 1] * p[k - 1]
-            dp[k + 1] -= e[k - 1] * dp[k - 1]
-        p[k + 1] /= e[k]
-        dp[k + 1] /= e[k]
-    return p, dp
+def _kinetic(y: np.ndarray, sign: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """M^T M for M_ij = sign_i sign_j / (y_i - y_j) and M_ii = -q_i, summed in
+    closed form (see _WallMesh), in place on one N x N array."""
+    with np.errstate(divide="ignore"):
+        k = 1.0 / np.subtract.outer(y, y)
+    k *= k
+    k[np.diag_indices(y.size)] = 0.0
+    diagonal = q * q + k.sum(axis=1)
+    k *= 2.0 * sign[:, None]
+    k *= sign
+    k[np.diag_indices(y.size)] = diagonal
+    return k
 
 
-def _gauss_jacobi(m: int, a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights of the m-point Gauss rule of weight (1 - u)^a (1 + u)^b.
+class _WallMesh:
+    """psi = Phi(y) p(y) / sqrt(scale) at r = origin + sense scale y, where Phi
+    goes as d^s at each wall and p, of degree below N, is expanded in the
+    Lagrange polynomials at the N Gauss nodes y_i of weight Phi^2 / sigma.
 
-    The nodes are the eigenvalues of the Jacobi matrix; each weight is the
-    Christoffel number 1 / sum_k p_k(u)^2, which keeps its relative accuracy
-    where the weight is tiny, next to a wall with a large exponent.
-    """
-    d, e, _ = _jacobi_recurrence(m, a, b)
-    u = eigh_tridiagonal(d, e, eigvals_only=True)
-    p, _ = _jacobi_polynomials(m, a, b, u)
-    return u, 1.0 / np.einsum("ij,ij->j", p, p)
+    H is assembled in ground-state form, the form ||A psi||^2 of H = A+A + E
+    with ground state Phi: for psi = Phi p,
+        scale^2 <psi, H psi> = int Phi^2 [p'^2 + (scale^2 V - Phi''/Phi) p^2] dy.
+    It selects the self-adjoint extension whose functions go as d^s at a
+    wall, also where V ~ s(s - 1)/d^2 admits d^(1 - s) as well (Bulla &
+    Gesztesy, J. Math. Phys. 26 (1985) 2520). The rule integrates sigma p_j p_k
+    and sigma p_j' p_k' exactly, so the basis is orthonormal and the kinetic
+    matrix exact: K = M^T M with M_ij = (-1)^(i-j) / (y_i - y_j) and
+    M_ii = pi''(y_i) / (2 pi'(y_i)) = -Phi'/Phi(y_i), pi the node polynomial,
+    by its ODE. As M_ii is also sum_(k != i) 1/(y_i - y_k), partial fractions
+    collapse the sum over k: K_ij = 2 (-1)^(i-j) / (y_i - y_j)^2 and
+    K_ii = M_ii^2 + sum_(k != i) 1/(y_i - y_k)^2, O(N^2) and the same for every
+    scale. The potential term is diagonal, V - Phi''/Phi at the nodes, where
+    the g/d^2 of V cancels against the same pole of Phi''/Phi. (As int psi'^2
+    + V psi^2 over the nodes of weight d^(2s - 2), both terms grow as
+    1/(2s - 1) near s = 1/2 and cancel: on a scarf1 draw with s = 0.5015 the
+    levels stalled between 1e-8 and 1e-6.)
 
-
-class _JacobiMesh:
-    """psi = sqrt(2/L) Phi(u) sum_k c_k p_k(u) on [lo, hi], x = lo + L (1 + u)/2,
-    Phi = (1 - u)^s_hi (1 + u)^s_lo, for wells with a wall at both ends.
-
-    The exponents come from V at each wall (V ~ g/d^2 gives psi ~ d^s with
-    s(s - 1) = g), and the p_k are the orthonormal Jacobi polynomials of weight
-    Phi^2, so the basis is orthonormal. Integrating the kinetic term by parts
-    (Phi Phi' p^2 vanishes at both walls for s > 1/2) turns <psi, H psi> into
-        int Phi^2 [(4/L^2) p'^2 + (V - (4/L^2) Phi''/Phi) p^2] du,
-    where the g/d^2 of V cancels against the same pole of Phi''/Phi, so what
-    is left has at most a 1/d pole. Both terms then are sums over the N Gauss
-    nodes of weight (1 - u)^(2 s_hi - 1) (1 + u)^(2 s_lo - 1) of (1 - u^2)
-    times the bracket; the kinetic sum is exact. Written the other way, as
-    int psi_k' psi_l' plus int V psi_k psi_l over the nodes of weight
-    (1 - u)^(2s - 2), both terms grow as 1/(2s - 1) when s nears 1/2 and
-    cancel: on a scarf1 draw with s_hi = 0.5015 the levels then stall between
-    1e-8 and 1e-6 at N = 32 to 512, where this form reaches 4e-9 at N = 64.
+    A family gives the rule, `_rule(n)` -> (d, e, p_0, C): the recurrence
+    y p_k = e_k p_(k+1) + d_k p_k + e_(k-1) p_(k-1) of its orthonormal p_0..p_n
+    and C with sigma p_n' = C e_(n-1) p_(n-1) at the nodes; and
+    `_envelope(y)` -> sigma, log Phi, Phi'/Phi, Phi''/Phi.
     """
 
-    def __init__(self, v, lo: float, hi: float):
-        self.lo, self.length = lo, hi - lo
-        self.s_lo = 1.0 + 0.5 * _wall_exponent(v, lo, self.length)
-        self.s_hi = 1.0 + 0.5 * _wall_exponent(v, hi, self.length, -1.0)
+    open_end = False  # an end without a wall: V at the outermost node is the continuum edge
 
-    def _envelope(self, u: np.ndarray) -> np.ndarray:
-        return math.sqrt(2.0 / self.length) * (1.0 - u) ** self.s_hi * (1.0 + u) ** self.s_lo
+    def _tails(self, y: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+        """Phi p_n and Phi p_(n-1) at y by the recurrence, with Phi spread over
+        the n steps so that nothing overflows where p_n grows as e^(y/2)."""
+        d, e, p0, _ = self._rule(n)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t = np.exp(self._envelope(y)[1] / n)
+        prev, cur = np.zeros_like(y), np.full_like(y, p0)
+        for k in range(n):
+            prev, cur = cur, t * ((y - d[k]) * cur - (e[k - 1] * t * prev if k else 0.0)) / e[k]
+        return cur, t * prev
+
+    def _nodes(self, n: int) -> tuple[np.ndarray, np.ndarray]:
+        """The nodes y_i and a_i = Phi p_n'(y_i) / sqrt(C). The weights are
+        C / (sigma_i p_n'(y_i)^2), so the Lagrange function of node i is |a_i|
+        on its node and Phi p_n / (y - y_i) sign(a_i) / sqrt(C) elsewhere."""
+        if n not in self._memo:
+            d, e, _, c = self._rule(n)
+            y = eigh_tridiagonal(d[:n], e[: n - 1], eigvals_only=True)
+            tail, prev = self._tails(y, n)
+            slope = c * e[n - 1] * prev / self._envelope(y)[0]  # Phi p_n' at the nodes
+            self._memo[n] = (y - tail / slope, slope / math.sqrt(c))  # one Newton step
+        return self._memo[n]
 
     def levels(self, v, n: int, count: int) -> list[_Levels]:
-        a, b = self.s_hi, self.s_lo
-        u, weight = _gauss_jacobi(n, 2.0 * a - 1.0, 2.0 * b - 1.0)
-        p, dp = _jacobi_polynomials(n, 2.0 * a, 2.0 * b, u)
-        c = 4.0 / self.length**2
-        # (1 - u^2) (V - c Phi''/Phi), with the double poles of Phi''/Phi divided out
-        vx = _potential_at(v, self.lo + 0.5 * self.length * (1.0 + u))
-        reg = (1.0 - u * u) * vx - c * (
-            a * (a - 1.0) * (1.0 + u) / (1.0 - u) + b * (b - 1.0) * (1.0 - u) / (1.0 + u) - 2.0 * a * b
-        )
-        w = weight * (1.0 - u * u)
-        h = c * (dp * w) @ dp.T + (p * (weight * reg)) @ p.T
-        energies, coef = _eigh_lowest(h, count)
-        values = self._envelope(u)[:, None] * (p.T @ coef)
-        return [_Levels(energies, coef, values, math.inf, np.ones(count, dtype=bool), self.psi)]
+        y, a = self._nodes(n)
+        _, _, q, ratio = self._envelope(y)
+        k = _kinetic(y, np.sign(a), q)
+        out = []
+        for scale in self.scales:
+            vx = _potential_at(v, self.origin + self.sense * scale * y)
+            h = k / scale**2
+            h[np.diag_indices(n)] += vx - ratio / scale**2
+            energies, coef = _eigh_lowest(h, count)
+            values = (coef * (np.abs(a) / math.sqrt(scale))[:, None])[:: int(self.sense)]  # in the order of r
+            edge = float(vx[-1]) if self.open_end else math.inf
+            out.append(_Levels(energies, coef, values, edge, energies < edge, partial(self.psi, scale)))
+        return out
 
-    def psi(self, coef: np.ndarray, grid: Grid) -> np.ndarray:
-        """sum_k coef_k p_k on the grid by the three-term recurrence, one row at a time."""
-        u = np.clip(2.0 * (grid.points - self.lo) / self.length - 1.0, -1.0, 1.0)
-        d, e, p0 = _jacobi_recurrence(coef.size, 2.0 * self.s_hi, 2.0 * self.s_lo)
-        prev, cur = np.zeros_like(u), np.full_like(u, p0)
-        total = coef[0] * cur
-        for k in range(coef.size - 1):
-            prev, cur = cur, ((u - d[k]) * cur - (e[k - 1] * prev if k else 0.0)) / e[k]
-            total += coef[k + 1] * cur
-        return self._envelope(u) * total
+    def psi(self, scale: float, coef: np.ndarray, grid: Grid) -> np.ndarray:
+        """sum_i coef_i times the Lagrange function of node i on the grid, in chunks of rows."""
+        n = coef.size
+        yn, a = self._nodes(n)
+        y = np.clip(self.sense * (grid.points - self.origin) / scale, *self.domain)
+        tail, _ = self._tails(y, n)
+        w = coef * np.sign(a) / math.sqrt(self._rule(n)[3])
+        out = np.empty_like(y)
+        rows = max(1, _CHUNK // n)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for i in range(0, y.size, rows):
+                yc = y[i : i + rows]
+                out[i : i + rows] = tail[i : i + rows] * (w / (yc[:, None] - yn)).sum(axis=1)
+        hit = ~np.isfinite(out)  # a grid point on a node
+        out[hit] = [coef[j] * abs(a[j]) for j in np.argmin(np.abs(y[hit, None] - yn), axis=1)]
+        return out / math.sqrt(scale)
+
+
+class _LaguerreMesh(_WallMesh):
+    """The half line from the wall at lo or hi: y = |r - wall| / h, Phi =
+    y^s e^(-y/2), weight y^(2s - 1) e^(-y), sigma = y, C = 1; one candidate
+    per scale h = (hi - lo) / k for k in LAGUERRE_SCALES."""
+
+    open_end, domain = True, (0.0, math.inf)
+
+    def __init__(self, v, lo: float, hi: float, walls):
+        at_hi = _is_wall(walls[1])
+        self.origin, self.sense = (hi, -1.0) if at_hi else (lo, 1.0)
+        self.scales = [(hi - lo) / k for k in LAGUERRE_SCALES]
+        self.s, self._memo = _exponent(walls[at_hi], v, self.origin, hi - lo, self.sense), {}
+
+    def _rule(self, n: int):
+        k, s = np.arange(n + 1, dtype=float), self.s
+        return 2.0 * (k + s), np.sqrt(k[1:] * (k[1:] + 2.0 * s - 1.0)), math.exp(-0.5 * math.lgamma(2.0 * s)), 1.0
+
+    def _envelope(self, y):
+        s = self.s
+        return y, s * np.log(y) - 0.5 * y, s / y - 0.5, s * (s - 1.0) / y**2 - s / y + 0.25
+
+
+class _JacobiMesh(_WallMesh):
+    """[lo, hi] for wells with a wall at both ends: r = lo + L (1 + y)/2,
+    Phi = (1 - y)^a (1 + y)^b with a = s_hi, b = s_lo, weight
+    (1 - y)^(2a - 1) (1 + y)^(2b - 1), sigma = 1 - y^2, C = 2 (n + a + b) - 1."""
+
+    domain, sense = (-1.0, 1.0), 1.0
+
+    def __init__(self, v, lo: float, hi: float, walls):
+        self.origin, self.scales = 0.5 * (lo + hi), [0.5 * (hi - lo)]
+        self.s_lo = _exponent(walls[0], v, lo, hi - lo, 1.0)
+        self.s_hi, self._memo = _exponent(walls[1], v, hi, hi - lo, -1.0), {}
+
+    def _rule(self, n: int):
+        a, b = self.s_hi, self.s_lo
+        return (*_jacobi_recurrence(n + 1, 2.0 * a - 1.0, 2.0 * b - 1.0), 2.0 * (n + a + b) - 1.0)
+
+    def _envelope(self, y):
+        a, b = self.s_hi, self.s_lo
+        ratio = a * (a - 1.0) / (1.0 - y) ** 2 + b * (b - 1.0) / (1.0 + y) ** 2 - 2.0 * a * b / (1.0 - y * y)
+        return 1.0 - y * y, a * np.log1p(-y) + b * np.log1p(y), b / (1.0 + y) - a / (1.0 - y), ratio
 
 
 def _change(a: _Levels, b: _Levels) -> np.ndarray:
@@ -383,25 +394,30 @@ def _change(a: _Levels, b: _Levels) -> np.ndarray:
 
 
 def _score(a: _Levels, b: _Levels) -> tuple:
-    """Most levels resolved at both sizes first, then the smallest relative change."""
-    both = a.physical & b.physical
-    return (-int(both.sum()), float(np.max(_change(a, b)[both], initial=0.0)))
+    """Most levels resolved at N first, then the smallest worst relative change
+    among them; a level resolved at N but not at N/2 has not converged."""
+    change = np.where(a.physical, _change(a, b), math.inf)[b.physical]
+    return (-int(b.physical.sum()), float(np.max(change, initial=0.0)))
 
 
 def spectral_bound_states(
     v,
     interval: tuple[float, float],
     count: int,
-    walls: tuple[bool, bool] = (False, False),
+    walls: tuple = (False, False),
     n_points: int = 4001,
 ) -> list[EigenPair]:
     """Lowest `count` eigenpairs of -psi'' + V psi = E psi by a spectral basis.
 
-    walls = (wall_lo, wall_hi) says which ends of interval are walls of V:
+    walls = (wall_lo, wall_hi) says which ends of interval are walls of V.
+    An end is False (no wall), True (a wall where psi ~ d^s with s the larger
+    root of s (s - 1) = lim d^2 V) or a float s > 0, the exponent of psi at
+    that wall: a superpotential W ~ -+s/d there gives it, and with s < 1/2 it
+    selects the extension of its ground state exp(-int W). The bases:
     - no wall: sine DVR with Dirichlet walls at both ends of interval;
     - one wall: Lagrange-Laguerre mesh on the half line from that wall, whose
       scales the interval length sets;
-    - two walls: Jacobi mesh on interval.
+    - two walls: Lagrange-Jacobi mesh on interval.
     N doubles from 16 (or the first power of two >= count) until every level
     the basis resolves moves by at most SPECTRAL_TOL * max(1, |E|) between N/2
     and N. It stops early, with a warning, once that change no longer falls
@@ -419,11 +435,11 @@ def spectral_bound_states(
         n *= 2
     if 2 * n > SPECTRAL_CAP:
         raise SolverError(f"{count} states need a basis above the cap N = {SPECTRAL_CAP}")
-    wall_lo, wall_hi = (bool(w) for w in walls)
+    wall_lo, wall_hi = (_is_wall(w) for w in walls)
     if wall_lo and wall_hi:
-        basis = _JacobiMesh(v, lo, hi)
+        basis = _JacobiMesh(v, lo, hi, walls)
     elif wall_lo or wall_hi:
-        basis = _LaguerreMesh(v, lo, hi, wall_at_hi=wall_hi)
+        basis = _LaguerreMesh(v, lo, hi, walls)
     else:
         basis = _SineDVR(lo, hi)
     prev = basis.levels(v, n, count)
@@ -434,8 +450,9 @@ def spectral_bound_states(
         scores = [_score(a, b) for a, b in zip(prev, cur)]
         best = min(range(len(cur)), key=scores.__getitem__)
         worst = scores[best][1]
-        # a change that grows after one below ROUNDING_FLOOR is rounding, not truncation
-        if worst <= SPECTRAL_TOL or 2 * n > SPECTRAL_CAP or (last <= ROUNDING_FLOOR and worst >= last):
+        # a change that grows after one below ROUNDING_FLOOR is rounding, not truncation;
+        # a level newly resolved (an infinite change) is neither
+        if worst <= SPECTRAL_TOL or 2 * n > SPECTRAL_CAP or (last <= ROUNDING_FLOOR and last <= worst < math.inf):
             break
         prev, last = cur, worst
     if worst > SPECTRAL_TOL:

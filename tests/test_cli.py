@@ -473,6 +473,27 @@ def test_partner_well_with_a_grid_point_on_a_wall_is_a_numeric_failure(capsys):
     assert code == 1 and out == ""
 
 
+def test_a_numeric_failure_prints_only_its_own_line(capsys):
+    # sampling V on the wall divides by zero; that numpy warning is not printed next to the failure
+    assert main(["partner", "--potential", "well", "--hierarchy", "2", "--grid=0,3,7"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("numeric failure in partner:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["spectrum", "--potential", "morse", "--lev", "2"], ["figures", "--out", "o.json"]],
+    ids=["levels", "outdir"],
+)
+def test_an_abbreviated_flag_is_an_unknown_flag(capsys, tmp_path, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    code = main(argv)
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err.startswith("configuration error:") and err.count("\n") == 1
+    assert not any(tmp_path.iterdir())  # figures wrote nothing, not even a directory o.json
+
+
 @pytest.mark.parametrize(
     "extra",
     [["--hbar", "2"], ["--mass2", "2"], ["--params", "L=pi,A=1"], ["--params", "L=0"],

@@ -212,11 +212,32 @@ def test_jacobi_mesh_rejects_a_bad_potential():
         )
 
 
+@pytest.mark.parametrize(
+    "mesh",
+    [spectral._LaguerreMesh(None, 0.0, 10.0, (s, False)) for s in (0.1, 0.7, 2.5)]
+    + [spectral._JacobiMesh(None, 0.0, 3.0, w) for w in ((0.1, 3.9), (1.0, 1.0), (2.5, 0.6))],
+    ids=["laguerre-0.1", "laguerre-0.7", "laguerre-2.5", "jacobi-0.1-3.9", "jacobi-1-1", "jacobi-2.5-0.6"],
+)
+def test_wall_mesh_kinetic_matrix_is_m_transpose_m(mesh):
+    for n in (16, 64):
+        y, a = mesh._nodes(n)
+        q = mesh._envelope(y)[2]
+        with np.errstate(divide="ignore"):
+            m = np.outer(np.sign(a), np.sign(a)) / np.subtract.outer(y, y)
+            inv = 1.0 / np.subtract.outer(y, y)
+        inv[np.diag_indices(n)] = 0.0
+        # M_ii = -Phi'/Phi from the family's ODE is the sum the closed form rests on
+        assert np.max(np.abs(-q - inv.sum(axis=1)) / np.maximum(1.0, np.abs(q))) < 1e-10
+        m[np.diag_indices(n)] = -q
+        k = spectral._kinetic(y, np.sign(a), q)
+        assert np.max(np.abs(k - m.T @ m)) < 1e-12 * np.max(np.abs(k))
+
+
 def _scripted_basis(energies: dict):
     """A basis whose one level at size N is energies[N]."""
 
     class Scripted:
-        def __init__(self, v, lo, hi):
+        def __init__(self, v, lo, hi, walls):
             pass
 
         def levels(self, v, n, count):
