@@ -2,10 +2,11 @@
 
 Outputs are deterministic CSV (17 significant digits) or a JSON envelope that
 echoes the inputs and carries per-operation outputs plus discretization
-diagnostics. Exit codes: 0 success, 1 numeric failure, 2 configuration error.
-Each distinct warning a run raises is printed once on stderr as "warning: ...".
-A reader that closes stdout early (`susyqm check | head -3`) ends the run
-quietly with exit 1. Each subcommand defines only the flags its handler reads.
+diagnostics. Exit codes: 0 success, 1 numeric failure, 2 configuration error;
+inf and nan are refused where numbers are parsed (exit 2). Each distinct
+warning a run raises is printed once on stderr as "warning: ...". A reader
+that closes stdout early (`susyqm check | head -3`) ends the run quietly with
+exit 1. Each subcommand defines only the flags its handler reads.
 Only `figures` and `check` load scipy (`scipy.linalg`, for the bound-state
 solvers); the other commands load none.
 """
@@ -50,6 +51,7 @@ _NUMERIC_ERRORS = (
     PeriodicError,
     ScatterError,
     ValueError,  # also swkb.QuantizeError, which is imported only by swkb runs
+    OverflowError,  # a finite parameter too large for the closed forms, e.g. B=1e308
 )
 
 
@@ -77,6 +79,14 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
+def _finite(text: str) -> float:
+    """float(text), refusing inf and nan: no closed form or solver takes them."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"{text.strip()!r} is not a finite number")
+    return value
+
+
 def _parse_params(text: Optional[str]) -> dict:
     if not text:
         return {}
@@ -90,9 +100,9 @@ def _parse_params(text: Optional[str]) -> dict:
             out[key.strip()] = math.pi
         else:
             try:
-                out[key.strip()] = float(val)
+                out[key.strip()] = _finite(val)
             except ValueError as exc:
-                raise ConfigError(f"parameter {key!r} has non-numeric value {val!r}") from exc
+                raise ConfigError(f"parameter {key!r} has a value {val!r} that is not a finite number") from exc
     return out
 
 
@@ -103,7 +113,7 @@ def _parse_grid(text: Optional[str]):
     if len(parts) != 3:
         raise ConfigError("--grid expects lo,hi,n")
     try:
-        lo, hi, n = float(parts[0]), float(parts[1]), int(parts[2])
+        lo, hi, n = _finite(parts[0]), _finite(parts[1]), int(parts[2])
     except ValueError as exc:
         raise ConfigError(f"bad --grid value {text!r}") from exc
     return (lo, hi, n)
@@ -111,9 +121,9 @@ def _parse_grid(text: Optional[str]):
 
 def _parse_floats(text: str, flag: str) -> list[float]:
     try:
-        return [float(t) for t in text.split(",")]
+        return [_finite(t) for t in text.split(",")]
     except ValueError as exc:
-        raise ConfigError(f"{flag} expects a comma-separated list of numbers") from exc
+        raise ConfigError(f"{flag} expects a comma-separated list of finite numbers") from exc
 
 
 @contextlib.contextmanager
@@ -485,6 +495,14 @@ def _int_from(lowest: int):
     return parse
 
 
+def _finite_float(text: str) -> float:
+    """argparse type: a finite float."""
+    try:
+        return _finite(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}") from None
+
+
 def _build_parser() -> argparse.ArgumentParser:
     # allow_abbrev=False: an abbreviated flag is an unknown flag, not the one it prefixes
     parser = _Parser(
@@ -502,8 +520,8 @@ def _build_parser() -> argparse.ArgumentParser:
     def inline(p):
         p.add_argument("--w-expr", dest="w_expr", help="inline superpotential expression in x")
         p.add_argument("--grid", help="lo,hi,n sampling grid")
-        p.add_argument("--hbar", type=float, default=1.0)
-        p.add_argument("--mass2", type=float, default=1.0, help="2m in chosen units")
+        p.add_argument("--hbar", type=_finite_float, default=1.0)
+        p.add_argument("--mass2", type=_finite_float, default=1.0, help="2m in chosen units")
 
     def output(p):
         p.add_argument("--format", dest="out_format", choices=("csv", "json"), default="csv")
@@ -536,10 +554,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = add("bands", "band edges of a periodic well", output)
     p.add_argument("--lame", help="a=1 or a=2 elliptic well")
-    p.add_argument("--m", type=float, help="elliptic parameter of --lame, in (0,1)")
+    p.add_argument("--m", type=_finite_float, help="elliptic parameter of --lame, in (0,1)")
     p.add_argument("--count", type=_int_from(1), help="number of edges")
     p.add_argument("--v-expr", dest="v_expr", help="inline periodic potential expression")
-    p.add_argument("--period", type=float, help="period of --v-expr, > 0")
+    p.add_argument("--period", type=_finite_float, help="period of --v-expr, > 0")
     p.add_argument("--params", help="comma-separated name=value parameters of --v-expr")
 
     p = add("figures", "write plot-ready data files plus a manifest")

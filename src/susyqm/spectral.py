@@ -420,10 +420,12 @@ def spectral_bound_states(
     - two walls: Lagrange-Jacobi mesh on interval.
     N doubles from 16 (or the first power of two >= count) until every level
     the basis resolves moves by at most SPECTRAL_TOL * max(1, |E|) between N/2
-    and N. It stops early, with a warning, once that change no longer falls
-    (the rounding floor) or at SPECTRAL_CAP. Levels above V at the outermost
-    node next to an open end are flagged as not bound; on the half line they
-    are not required to converge. A bound state of the box still above 1e-6
+    and N. It stops early, with a warning, at SPECTRAL_CAP or at the rounding
+    floor: once a change below ROUNDING_FLOOR grows at the next doubling. At
+    the floor it returns the N/2 solve, the better of the two, with its
+    change from N/4 as the estimate. Levels above V at the outermost node
+    next to an open end are flagged as not bound; on the half line they are
+    not required to converge. A bound state of the box still above 1e-6
     of its peak at a node next to an end gets a warning. psi is returned on
     Grid(*interval, n_points), built when first read.
     """
@@ -447,12 +449,14 @@ def spectral_bound_states(
     while True:
         n *= 2
         cur = basis.levels(v, n, count)
-        scores = [_score(a, b) for a, b in zip(prev, cur)]
-        best = min(range(len(cur)), key=scores.__getitem__)
-        worst = scores[best][1]
-        # a change that grows after one below ROUNDING_FLOOR is rounding, not truncation;
-        # a level newly resolved (an infinite change) is neither
-        if worst <= SPECTRAL_TOL or 2 * n > SPECTRAL_CAP or (last <= ROUNDING_FLOOR and last <= worst < math.inf):
+        (_, worst), best = min((_score(a, b), i) for i, (a, b) in enumerate(zip(prev, cur)))
+        # a change that grows after one below ROUNDING_FLOOR is rounding, not truncation:
+        # keep the N/2 solve and its change. A level newly resolved (an infinite change) is neither
+        if last <= ROUNDING_FLOOR and last <= worst < math.inf:
+            worst, n = last, n // 2
+            break
+        solves = prev[best], cur[best]  # N/2 and N in the best basis
+        if worst <= SPECTRAL_TOL or 2 * n > SPECTRAL_CAP:
             break
         prev, last = cur, worst
     if worst > SPECTRAL_TOL:
@@ -460,7 +464,7 @@ def spectral_bound_states(
             f"levels still move by {worst:.2e} between N = {n // 2} and N = {n}",
             stacklevel=2,
         )
-    lv, change = cur[best], _change(prev[best], cur[best])
+    lv, change = solves[1], np.abs(solves[1].energies - solves[0].energies)
     grid = Grid(lo, hi, n_points)
     pairs = []
     for i in range(count):
@@ -483,7 +487,7 @@ def spectral_bound_states(
                 build,
                 count_nodes(values),
                 bound,
-                float(change[i] * max(1.0, abs(lv.energies[i]))),
+                float(change[i]),
             )
         )
     return pairs

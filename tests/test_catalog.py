@@ -171,6 +171,20 @@ def test_a_non_friedrichs_draw_matches_the_closed_form(name, params):
         assert not messages, messages
 
 
+def test_the_rounding_floor_returns_the_better_of_the_two_solves():
+    # scarf1 with s = 0.1 at the upper wall: the N = 32 and 64 solves are about
+    # 1e-10 off, and the N = 128 one, where the change grows, 7e-9
+    entry = sip_lookup("scarf1", A=2.0, B=1.9, alpha=1.0)
+    spec, _ = sip_spectrum(entry, 5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        levels = numeric_levels(entry, 6)
+    for pair, e_closed in zip(levels, spec):
+        error = abs(pair.energy - e_closed)
+        assert error <= 3e-10
+        assert error / 10 <= pair.error_estimate <= 10 * error
+
+
 @pytest.mark.parametrize("b", [1.4999, 1.49999])
 def test_near_half_wall_exponent_error_and_estimate(b):
     # s = A - B = 0.5001 and 0.50001 at the upper wall: read off V, s carried

@@ -106,11 +106,47 @@ def test_scatter_non_finite_potential_is_a_numeric_failure(capsys):
     assert "not finite at x" in err
 
 
-def test_scatter_non_finite_momentum_is_a_numeric_failure(capsys):
+def test_scatter_non_finite_momentum_is_a_configuration_error(capsys):
     code = main(["scatter", "--potential", "sech2", "--k", "nan"])
     out, err = capsys.readouterr()
-    assert code == 1
-    assert out == "" and "not finite at k = nan" in err
+    assert code == 2
+    assert out == "" and err == "configuration error: --k expects a comma-separated list of finite numbers\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["spectrum", "--potential", "shifted_oscillator", "--params", "omega=nan"],
+        ["spectrum", "--potential", "sech2", "--params", "B=inf"],
+        ["spectrum", "--potential", "sech2", "--params", "B=nan"],
+        ["swkb", "--potential", "sech2", "--params", "B=inf"],
+        ["partner", "--potential", "sech2", "--params", "B=inf"],
+        ["scatter", "--potential", "sech2", "--params", "B=inf"],
+        ["scatter", "--potential", "sech2", "--k", "1,inf"],
+        ["isospectral", "--potential", "shifted_oscillator", "--lambdas", "nan"],
+        ["isospectral", "--potential", "shifted_oscillator", "--lambdas", "inf"],
+        ["bands", "--v-expr", "sin(x)^2", "--period", "inf"],
+        ["scatter", "--w-expr", "2*tanh(x)", "--grid=-16,16,2001", "--hbar", "inf"],
+        ["partner", "--w-expr", "tanh(x)", "--grid=-10,nan,101"],
+    ],
+    ids=["omega-nan", "spectrum-B-inf", "B-nan", "swkb-B-inf", "partner-B-inf", "scatter-B-inf", "k-inf",
+         "lambda-nan", "lambda-inf", "period-inf", "hbar-inf", "grid-nan"],
+)
+def test_non_finite_numbers_are_configuration_errors(capsys, argv):
+    # refused where they are parsed: no CSV of nan, no traceback, no numeric failure
+    code = main(argv)
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err.startswith("configuration error: ") and err.count("\n") == 1
+    assert "finite" in err or "bad --grid" in err
+
+
+@pytest.mark.parametrize("subcommand", ["spectrum", "swkb", "partner", "scatter"])
+def test_a_parameter_too_large_for_the_closed_forms_is_a_numeric_failure(capsys, subcommand):
+    code = main([subcommand, "--potential", "sech2", "--params", "B=1e308"])
+    out, err = capsys.readouterr()
+    assert code == 1 and out == ""
+    assert err.startswith(f"numeric failure in {subcommand}: ") and err.count("\n") == 1
 
 
 def test_scatter_steps_must_be_positive(capsys):

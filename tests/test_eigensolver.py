@@ -4,11 +4,12 @@ import warnings
 import numpy as np
 import pytest
 
-from susyqm import spectral
+from susyqm import eigensolver, spectral
 from susyqm.catalog import well_hierarchy_potential
+from susyqm.core import Superpotential
 from susyqm.eigensolver import SolverError, bound_states, bound_states_of
 from susyqm.spectral import SPECTRAL_CAP, spectral_bound_states
-from susyqm.grids import Grid, SampledFunction, integrate
+from susyqm.grids import Grid, SampledFunction, integrate, sample
 
 
 def test_oscillator_levels():
@@ -56,6 +57,120 @@ def test_too_many_states_raises():
     g = Grid(0.0, 1.0, 11)
     with pytest.raises(SolverError):
         bound_states(SampledFunction(g, np.zeros(11)), 50)
+
+
+def test_zero_states_raises():
+    g = Grid(0.0, 1.0, 11)
+    with pytest.raises(SolverError, match="count must be at least 1"):
+        bound_states(SampledFunction(g, np.zeros(11)), 0)
+
+
+def _assert_matches_bisection(v: SampledFunction, count: int, vectors: bool = True) -> list:
+    """The cascade's energies on the h, 2h and 4h grids against bisection on
+    each, within max(1e-12 |E|, 4 eps |T|), and (if vectors) its unit vectors
+    on the h grid within 1e-10. Returns the strides of the grids it bisected."""
+    from scipy.linalg import eigh_tridiagonal
+
+    bisected = []
+    solve = eigensolver._bisected
+
+    def spy(values, h, k):
+        bisected.append(round(h / v.grid.h))
+        return solve(values, h, k)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(eigensolver, "_bisected", spy)
+        solved, psis = eigensolver._cascade(v.values, v.grid.h, count)
+    for j, stride in enumerate(eigensolver._strides(v.grid.n_points)[:3]):
+        d, e = eigensolver.dirichlet_tridiagonal(v.values[::stride], v.grid.h * stride, 1.0)
+        k = min(count, d.size)
+        if j == 0:
+            energies, vecs = eigh_tridiagonal(d, e, select="i", select_range=(0, k - 1))
+        else:
+            energies = eigh_tridiagonal(d, e, select="i", select_range=(0, k - 1), eigvals_only=True)
+        rounding = 4.0 * np.finfo(float).eps * (np.max(np.abs(d)) + 2.0 * abs(e[0]))
+        assert np.all(np.abs(solved[j] - energies) <= np.maximum(1e-12 * np.abs(energies), rounding)), stride
+        if j == 0 and vectors:
+            for i in range(count):
+                psi = psis[i][1:-1]
+                assert np.max(np.abs(psi - np.sign(psi @ vecs[:, i]) * vecs[:, i])) <= 1e-10, i
+    return bisected
+
+
+@pytest.mark.parametrize("n_points", [101, 103, 100, 4001, 16001, 64001])
+def test_the_cascade_matches_bisection(n_points):
+    # 101: grids of 101, 51 and 26 points; 103: no 4h grid; 100: no coarse grid at all
+    v = sample(lambda x: x**2 + 0.3 * x**3 / (1 + x**2), Grid(-10.0, 10.0, n_points))
+    bisected = _assert_matches_bisection(v, 4)
+    assert bisected == [eigensolver._strides(n_points)[-1]]  # the coarsest grid only
+
+
+def test_the_cascade_matches_bisection_on_the_benchmark_solves(monkeypatch):
+    # the finite-difference solves of the benchmark's spectra_grid workload,
+    # seed 1: partner pairs at 16001 points and isospectral members at 64001
+    from pathlib import Path
+
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    import workloads
+
+    calls = []
+    solve = eigensolver.bound_states
+    monkeypatch.setattr(eigensolver, "bound_states", lambda v, k, **kw: calls.append((v, k)) or solve(v, k, **kw))
+    for job in workloads.build("spectra_grid", 1, None):
+        if job.name.startswith(("degeneracy", "isospectral")):
+            job.run()
+    assert [v.grid.n_points for v, _ in calls] == [16001] * 10 + [64001] * 3
+    for v, count in calls:
+        assert _assert_matches_bisection(v, count) == [eigensolver._strides(v.grid.n_points)[-1]]
+
+
+def test_a_level_the_coarse_grids_miss_falls_back_to_bisection():
+    # the wells are 0.003 wide: the coarse grids see only the oscillator, whose
+    # levels RQI refines to -0.068 twice, missing 1.161, until the residual
+    # intervals refuse two levels on one eigenvalue; the 2001-point grid is bisected
+    def wells(x):
+        return x**2 / 2 - 300 * (np.exp(-(((x - 1.0003) / 0.003) ** 2)) + np.exp(-(((x + 2.0007) / 0.003) ** 2)))
+
+    assert _assert_matches_bisection(sample(wells, Grid(-5.0, 5.0, 16001)), 5) == [64, 8]
+
+
+def test_a_deep_level_the_coarse_grids_miss_fails_the_sturm_count():
+    # a well 0.002 wide between the nodes of the grids up to 501 points: its
+    # level (-25.8 at 16001 points) shows first on the 1001-point grid, where
+    # RQI from the coarse levels finds the three above it, all distinct; only
+    # the Sturm count sees the eigenvalue below them
+    v = sample(lambda x: x**2 / 2 - 3000 * np.exp(-(((x + 2.0075) / 0.002) ** 2)), Grid(-5.0, 5.0, 16001))
+    assert _assert_matches_bisection(v, 3) == [64, 16]
+
+
+@pytest.mark.parametrize("depth, bisected", [(60.0, [64]), (100.0, [64, 4, 2, 1])])
+def test_a_near_degenerate_double_well(depth, bisected):
+    # depth (x^2 - 4)^2 / 16 on (-6, 6): the two lowest levels split by 2e-7
+    # (certified by RQI) and by 1.2e-9, below the residual intervals from the
+    # 4001-point grid on, where each grid is bisected. The vectors of such a
+    # pair are defined only to about eps |T| / split, by any solver
+    v = sample(lambda x: depth * (x**2 - 4) ** 2 / 16, Grid(-6.0, 6.0, 16001))
+    assert _assert_matches_bisection(v, 4, vectors=False) == bisected
+
+
+def test_the_cascade_peaks_below_the_bisection_route():
+    # at 64001 points the peak is the fine grid's Sturm count: its workspace
+    # (7.5 vectors of the grid), the tridiagonal, the top level's vector and
+    # the 2h grid's other vectors in single precision, 11.5 vectors in all,
+    # where bisection with vectors on the fine grid took 14.5
+    import tracemalloc
+
+    from susyqm.isospectral import IsoFamily
+
+    fam = IsoFamily.build(Superpotential(lambda x: x, w_prime=lambda x: np.ones_like(x)), Grid(-16.0, 16.0, 64001))
+    v = fam.potential(1.0)
+    tracemalloc.start()
+    try:
+        bound_states(v, 5, check_decay=False)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 12 * 8 * v.grid.n_points
 
 
 def test_spectral_free_box_and_oscillator():
@@ -249,29 +364,30 @@ def _scripted_basis(energies: dict):
 
 
 @pytest.mark.parametrize(
-    "script, last_n",
+    "script, last_n, kept_n",
     [
-        # truncation error falls, then a change below 1e-8 grows: rounding, stop at 128
-        ({16: 1e-4, 32: 1e-7, 64: 1.03e-7, 128: 1.08e-7}, 128),
+        # truncation error falls, then a change below 1e-8 grows: rounding, stop
+        # at 128 and keep the 64 solve, the one before the change grew
+        ({16: 1e-4, 32: 1e-7, 64: 1.03e-7, 128: 1.08e-7}, 128, 64),
         # a change that grows while still above 1e-8 is not rounding: keep doubling
-        ({16: 1e-3, 32: 2e-3, 64: 4e-3, 128: 4e-3 + 1e-12}, 128),
-        ({16: 1e-3, 32: 2e-3, 64: 4e-3, 128: 4e-3 + 1e-9, 256: 4e-3 + 3e-9}, 256),
+        ({16: 1e-3, 32: 2e-3, 64: 4e-3, 128: 4e-3 + 1e-12}, 128, 128),
+        ({16: 1e-3, 32: 2e-3, 64: 4e-3, 128: 4e-3 + 1e-9, 256: 4e-3 + 3e-9}, 256, 128),
     ],
     ids=["floor", "growing-early", "growing-early-then-floor"],
 )
-def test_a_change_that_grows_below_the_floor_stops_the_doubling(monkeypatch, script, last_n):
+def test_a_change_that_grows_below_the_floor_stops_the_doubling(monkeypatch, script, last_n, kept_n):
     monkeypatch.setattr(spectral, "_JacobiMesh", _scripted_basis({n: 1.0 + e for n, e in script.items()}))
     sizes = _sizes(monkeypatch, spectral._JacobiMesh)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         (pair,) = spectral_bound_states(None, (0.0, 1.0), 1, walls=(True, True))
     assert sizes == [n for n in sorted(script) if n <= last_n]
-    change = abs(script[last_n] - script[last_n // 2])
-    assert pair.energy == 1.0 + script[last_n]
+    change = abs(script[kept_n] - script[kept_n // 2])
+    assert pair.energy == 1.0 + script[kept_n]
     assert pair.error_estimate == pytest.approx(change, rel=1e-6)
     moved = [str(w.message) for w in caught if "levels still move" in str(w.message)]
     assert len(moved) == (change > spectral.SPECTRAL_TOL)
-    assert all(f"and N = {last_n}" in m for m in moved)
+    assert all(f"and N = {kept_n}" in m for m in moved)
 
 
 def test_finite_difference_error_estimate():
