@@ -1,17 +1,20 @@
 """Catalog of shape-invariant potentials and the algebraic spectrum machinery.
 
 Each entry packages a closed-form superpotential W(x; a1), the parameter map
-a1 -> a2, the x-independent remainder R(a1) in
+a1 -> a2 and the closed-form spectrum E_n(a1). Shape invariance is
     V2(x; a1) = V1(x; a2) + R(a1),
-and the resulting closed-form spectrum E_n = sum_k R(a_k). Wave functions are
-built by the ladder-operator chain from the ground state, not from special
-polynomials. Units are hbar = 2m = 1 throughout the closed forms.
+with an x-independent remainder R. Since V1 has E_0 = 0, the ground level of
+V2 is R(a1) and also E_1(a1), so R(a1) = E_1(a1) needs no formula of its own
+(Gendenshtein, JETP Lett. 38 (1983) 356). The spectrum is then
+E_n = sum_{k<n} R(a_k), which sip_spectrum checks against E_n(a1). Wave
+functions are built by the ladder-operator chain from the ground state, not
+from special polynomials. Units are hbar = 2m = 1 throughout the closed forms.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -19,20 +22,11 @@ import numpy as np
 from .core import Superpotential, apply_Adag, ground_state_from_w, normalized
 from .eigensolver import EigenPair
 from .grids import Grid, SampledFunction
+from .special import csch, sech
 
 
 class CatalogError(ValueError):
     pass
-
-
-def _sech(z):
-    # cosh overflows for |z| beyond ~710; 1/inf = 0 is the right limit
-    with np.errstate(over="ignore"):
-        return 1.0 / np.cosh(z)
-
-
-def _csch(z):
-    return 1.0 / np.sinh(z)
 
 
 @dataclass(frozen=True)
@@ -44,7 +38,6 @@ class SipEntry:
     w_of: Callable  # (x, params) -> W
     w_prime_of: Callable  # (x, params) -> W'
     step: Callable  # params -> params of the partner
-    remainder: Callable  # params -> R(a1)
     energy_closed: Callable  # (n, params) -> E_n
     domain: tuple[float, float]
     wall_lo: bool = False  # singular/confining wall at the left endpoint
@@ -79,6 +72,10 @@ class SipEntry:
     def v2(self, x, params: Optional[dict] = None):
         return self.superpotential(params).v2(x)
 
+    def remainder(self, params: dict) -> float:
+        """R(a1) in V2(x; a1) = V1(x; a2) + R(a1): the first level E_1(a1)."""
+        return self.energy_closed(1, params)
+
     def param_chain(self, depth: int) -> list[dict]:
         chain = [dict(self.params)]
         for _ in range(depth):
@@ -102,7 +99,6 @@ def _shifted_oscillator(omega=2.0, b=0.0):
         w_of=lambda x, p: 0.5 * p["omega"] * x - p["b"],
         w_prime_of=lambda x, p: np.full_like(x, 0.5 * p["omega"]),
         step=lambda p: dict(p),
-        remainder=lambda p: p["omega"],
         energy_closed=lambda n, p: n * p["omega"],
         domain=(-math.inf, math.inf),
         box=(x0 - half_w, x0 + half_w),
@@ -118,7 +114,6 @@ def _oscillator_3d(omega=2.0, l=0.0):
         w_of=lambda r, p: 0.5 * p["omega"] * r - (p["l"] + 1.0) / r,
         w_prime_of=lambda r, p: 0.5 * p["omega"] + (p["l"] + 1.0) / r**2,
         step=lambda p: {**p, "l": p["l"] + 1.0},
-        remainder=lambda p: 2.0 * p["omega"],
         energy_closed=lambda n, p: 2.0 * n * p["omega"],
         domain=(0.0, math.inf),
         wall_lo=True,
@@ -135,8 +130,6 @@ def _coulomb(e2=2.0, l=0.0):
         w_of=lambda r, p: p["e2"] / (2.0 * (p["l"] + 1.0)) - (p["l"] + 1.0) / r,
         w_prime_of=lambda r, p: (p["l"] + 1.0) / r**2,
         step=lambda p: {**p, "l": p["l"] + 1.0},
-        remainder=lambda p: (p["e2"] ** 2 / 4.0)
-        * (1.0 / (p["l"] + 1.0) ** 2 - 1.0 / (p["l"] + 2.0) ** 2),
         energy_closed=lambda n, p: (p["e2"] ** 2 / 4.0)
         * (1.0 / (p["l"] + 1.0) ** 2 - 1.0 / (n + p["l"] + 1.0) ** 2),
         domain=(0.0, math.inf),
@@ -155,7 +148,6 @@ def _morse(A=3.0, B=1.0, alpha=1.0, x0=0.0):
         w_of=lambda x, p: p["A"] - p["B"] * np.exp(-p["alpha"] * (x + p["x0"])),
         w_prime_of=lambda x, p: p["alpha"] * p["B"] * np.exp(-p["alpha"] * (x + p["x0"])),
         step=lambda p: {**p, "A": p["A"] - p["alpha"]},
-        remainder=lambda p: p["A"] ** 2 - (p["A"] - p["alpha"]) ** 2,
         energy_closed=lambda n, p: p["A"] ** 2 - (p["A"] - n * p["alpha"]) ** 2,
         domain=(-math.inf, math.inf),
         n_bound=_strict_count(A / alpha),
@@ -170,14 +162,13 @@ def _scarf2(A=3.0, B=1.0, alpha=1.0, x0=0.0):
         name="scarf2",
         params={"A": A, "B": B, "alpha": alpha, "x0": x0},
         w_of=lambda x, p: p["A"] * np.tanh(p["alpha"] * (x + p["x0"]))
-        + p["B"] * _sech(p["alpha"] * (x + p["x0"])),
+        + p["B"] * sech(p["alpha"] * (x + p["x0"])),
         w_prime_of=lambda x, p: p["alpha"]
         * (
-            p["A"] * _sech(p["alpha"] * (x + p["x0"])) ** 2
-            - p["B"] * _sech(p["alpha"] * (x + p["x0"])) * np.tanh(p["alpha"] * (x + p["x0"]))
+            p["A"] * sech(p["alpha"] * (x + p["x0"])) ** 2
+            - p["B"] * sech(p["alpha"] * (x + p["x0"])) * np.tanh(p["alpha"] * (x + p["x0"]))
         ),
         step=lambda p: {**p, "A": p["A"] - p["alpha"]},
-        remainder=lambda p: p["A"] ** 2 - (p["A"] - p["alpha"]) ** 2,
         energy_closed=lambda n, p: p["A"] ** 2 - (p["A"] - n * p["alpha"]) ** 2,
         domain=(-math.inf, math.inf),
         n_bound=_strict_count(A / alpha),
@@ -189,14 +180,7 @@ def _scarf2(A=3.0, B=1.0, alpha=1.0, x0=0.0):
 
 def _sech2(B=2.0, alpha=1.0):
     """Reflectionless family: scarf II with no sech term, W = B tanh(alpha x)."""
-    entry = _scarf2(A=B, B=0.0, alpha=alpha)
-    return SipEntry(
-        **{
-            **entry.__dict__,
-            "name": "sech2",
-            "params": {"A": B, "B": 0.0, "alpha": alpha, "x0": 0.0},
-        }
-    )
+    return replace(_scarf2(A=B, B=0.0, alpha=alpha), name="sech2")
 
 
 def _rosen_morse2(A=4.0, B=1.0, alpha=1.0, x0=0.0):
@@ -206,14 +190,8 @@ def _rosen_morse2(A=4.0, B=1.0, alpha=1.0, x0=0.0):
         name="rosen_morse2",
         params={"A": A, "B": B, "alpha": alpha, "x0": x0},
         w_of=lambda x, p: p["A"] * np.tanh(p["alpha"] * (x + p["x0"])) + p["B"] / p["A"],
-        w_prime_of=lambda x, p: p["alpha"] * p["A"] * _sech(p["alpha"] * (x + p["x0"])) ** 2,
+        w_prime_of=lambda x, p: p["alpha"] * p["A"] * sech(p["alpha"] * (x + p["x0"])) ** 2,
         step=lambda p: {**p, "A": p["A"] - p["alpha"]},
-        remainder=lambda p: (
-            p["A"] ** 2
-            - (p["A"] - p["alpha"]) ** 2
-            + p["B"] ** 2 / p["A"] ** 2
-            - p["B"] ** 2 / (p["A"] - p["alpha"]) ** 2
-        ),
         energy_closed=lambda n, p: (
             p["A"] ** 2
             - (p["A"] - n * p["alpha"]) ** 2
@@ -235,14 +213,8 @@ def _eckart(A=2.0, B=25.0, alpha=1.0):
         name="eckart",
         params={"A": A, "B": B, "alpha": alpha},
         w_of=lambda r, p: -p["A"] / np.tanh(p["alpha"] * r) + p["B"] / p["A"],
-        w_prime_of=lambda r, p: p["alpha"] * p["A"] * _csch(p["alpha"] * r) ** 2,
+        w_prime_of=lambda r, p: p["alpha"] * p["A"] * csch(p["alpha"] * r) ** 2,
         step=lambda p: {**p, "A": p["A"] + p["alpha"]},
-        remainder=lambda p: (
-            p["A"] ** 2
-            - (p["A"] + p["alpha"]) ** 2
-            + p["B"] ** 2 / p["A"] ** 2
-            - p["B"] ** 2 / (p["A"] + p["alpha"]) ** 2
-        ),
         energy_closed=lambda n, p: (
             p["A"] ** 2
             - (p["A"] + n * p["alpha"]) ** 2
@@ -271,7 +243,6 @@ def _scarf1(A=3.0, B=1.0, alpha=1.0):
             - p["B"] * np.tan(p["alpha"] * x) / np.cos(p["alpha"] * x)
         ),
         step=lambda p: {**p, "A": p["A"] + p["alpha"]},
-        remainder=lambda p: (p["A"] + p["alpha"]) ** 2 - p["A"] ** 2,
         energy_closed=lambda n, p: (p["A"] + n * p["alpha"]) ** 2 - p["A"] ** 2,
         domain=(-half, half),
         wall_lo=True,
@@ -286,14 +257,13 @@ def _poschl_teller(A=3.0, B=5.0, alpha=1.0):
     return SipEntry(
         name="poschl_teller",
         params={"A": A, "B": B, "alpha": alpha},
-        w_of=lambda r, p: p["A"] / np.tanh(p["alpha"] * r) - p["B"] * _csch(p["alpha"] * r),
+        w_of=lambda r, p: p["A"] / np.tanh(p["alpha"] * r) - p["B"] * csch(p["alpha"] * r),
         w_prime_of=lambda r, p: p["alpha"]
         * (
-            -p["A"] * _csch(p["alpha"] * r) ** 2
-            + p["B"] * _csch(p["alpha"] * r) / np.tanh(p["alpha"] * r)
+            -p["A"] * csch(p["alpha"] * r) ** 2
+            + p["B"] * csch(p["alpha"] * r) / np.tanh(p["alpha"] * r)
         ),
         step=lambda p: {**p, "A": p["A"] - p["alpha"]},
-        remainder=lambda p: p["A"] ** 2 - (p["A"] - p["alpha"]) ** 2,
         energy_closed=lambda n, p: p["A"] ** 2 - (p["A"] - n * p["alpha"]) ** 2,
         domain=(0.0, math.inf),
         wall_lo=True,
@@ -312,12 +282,6 @@ def _rosen_morse1(A=2.0, B=1.0, alpha=1.0):
         w_of=lambda x, p: -p["A"] / np.tan(p["alpha"] * x) - p["B"] / p["A"],
         w_prime_of=lambda x, p: p["alpha"] * p["A"] / np.sin(p["alpha"] * x) ** 2,
         step=lambda p: {**p, "A": p["A"] + p["alpha"]},
-        remainder=lambda p: (
-            (p["A"] + p["alpha"]) ** 2
-            - p["A"] ** 2
-            + p["B"] ** 2 / p["A"] ** 2
-            - p["B"] ** 2 / (p["A"] + p["alpha"]) ** 2
-        ),
         energy_closed=lambda n, p: (
             (p["A"] + n * p["alpha"]) ** 2
             - p["A"] ** 2
@@ -373,9 +337,9 @@ def _test_grid(entry: SipEntry, n: int = 801) -> np.ndarray:
     return np.linspace(lo + 0.05 * span + 1e-3, hi - 0.05 * span - 1e-3, n)
 
 
-def shape_invariance_residual(entry: SipEntry, params: Optional[dict] = None) -> float:
+def shape_invariance_residual(entry: SipEntry) -> float:
     """max_x |V2(x; a1) - V1(x; a2) - R(a1)| on a dense interior grid."""
-    p1 = dict(entry.params if params is None else params)
+    p1 = entry.params
     p2 = entry.step(p1)
     x = _test_grid(entry)
     res = entry.v2(x, p1) - entry.v1(x, p2) - entry.remainder(p1)

@@ -77,8 +77,8 @@ class Superpotential:
         return grid
 
 
-def _fd_derivative(fn, x, rel_h: float = 1e-6):
-    h = rel_h * np.maximum(1.0, np.abs(x))
+def _fd_derivative(fn, x):
+    h = 1e-6 * np.maximum(1.0, np.abs(x))
     return (fn(x - 2 * h) - 8 * fn(x - h) + 8 * fn(x + h) - fn(x + 2 * h)) / (12 * h)
 
 
@@ -228,29 +228,24 @@ def algebra_check(w: Superpotential, grid: Grid) -> AlgebraReport:
 # ---------------------------------------------------------------------------
 
 
-def detect_breaking(
-    w: Superpotential,
-    half_width: float = 4.0,
-    n_doublings: int = 4,
-    points_per_unit: int = 200,
-    rel_tol: float = 1e-8,
-) -> SusyStatus:
+def detect_breaking(w: Superpotential) -> SusyStatus:
     """Classify SUSY as unbroken/broken from zero-mode normalizability.
 
-    Both candidates exp(-+ (1/c) int W) are integrated on a sequence of
-    doubling windows; a candidate is normalizable when its norm converges
-    in relative terms. Exactly one convergent candidate means unbroken SUSY.
+    Both candidates exp(-+ (1/c) int W) are integrated on the windows of
+    half-width 4, 8, ..., 64 (clipped to the domain) at 200 points per unit;
+    a candidate is normalizable when the last doubling moves its norm by at
+    most 1e-8 relative. Exactly one convergent candidate means unbroken SUSY.
     """
     lo, hi = w.domain
     norms = {+1: [], -1: []}
     edge_ratio = {+1: math.inf, -1: math.inf}
-    for k in range(n_doublings + 1):
-        half = half_width * 2**k
+    for k in range(5):
+        half = 4.0 * 2**k
         a = max(lo + 1e-9 * max(1.0, abs(lo)) if np.isfinite(lo) else -half, -half)
         b = min(hi - 1e-9 * max(1.0, abs(hi)) if np.isfinite(hi) else half, half)
         if b <= a:
             raise SusyError("degenerate window while scanning normalizability")
-        n_pts = max(501, int(points_per_unit * (b - a)) | 1)
+        n_pts = max(501, int(200 * (b - a)) | 1)
         grid = Grid(a, b, n_pts)
         wvals = sample(w.w, grid)
         exponent = cumulative_integral(wvals).values / w.c
@@ -266,7 +261,7 @@ def detect_breaking(
 
     def converged(seq):
         a, b = seq[-2], seq[-1]
-        return np.isfinite(b) and abs(b - a) <= rel_tol * max(abs(b), 1e-300)
+        return np.isfinite(b) and abs(b - a) <= 1e-8 * max(abs(b), 1e-300)
 
     def normalizable(sign):
         return converged(norms[sign]) and edge_ratio[sign] < 1e-6

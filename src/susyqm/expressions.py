@@ -16,7 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from .special import jacobi_sn_cn_dn
+from .special import csch, jacobi_sn_cn_dn, sech
 
 
 class ExpressionError(ValueError):
@@ -40,8 +40,8 @@ _FUNCTIONS: dict[str, Callable] = {
     "sinh": np.sinh,
     "cosh": np.cosh,
     "tanh": np.tanh,
-    "sech": lambda z: 1.0 / np.cosh(z),
-    "csch": lambda z: 1.0 / np.sinh(z),
+    "sech": sech,
+    "csch": csch,
     "exp": np.exp,
     "ln": np.log,
     "sqrt": np.sqrt,

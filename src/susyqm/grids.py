@@ -40,9 +40,9 @@ class Grid:
     def points(self) -> np.ndarray:
         return np.linspace(self.x_min, self.x_max, self.n_points)
 
-    def refine(self, factor: int = 2) -> "Grid":
-        """Grid with the same endpoints and (n-1)*factor + 1 points."""
-        return Grid(self.x_min, self.x_max, (self.n_points - 1) * factor + 1)
+    def refine(self) -> "Grid":
+        """Grid with the same endpoints and half the spacing: 2(n-1) + 1 points."""
+        return Grid(self.x_min, self.x_max, (self.n_points - 1) * 2 + 1)
 
 
 @dataclass(frozen=True)
@@ -143,10 +143,10 @@ def second_derivative(f: SampledFunction) -> SampledFunction:
     return SampledFunction(f.grid, d)
 
 
-def count_nodes(values: np.ndarray, rel_floor: float = 1e-8) -> int:
-    """Interior sign changes, ignoring amplitudes below rel_floor * max|values|."""
+def count_nodes(values: np.ndarray) -> int:
+    """Interior sign changes, ignoring amplitudes below 1e-8 * max|values|."""
     v = np.asarray(values)
-    floor = rel_floor * np.max(np.abs(v))
+    floor = 1e-8 * np.max(np.abs(v))
     sig = v[np.abs(v) > floor]
     if sig.size < 2:
         return 0

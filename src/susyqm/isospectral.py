@@ -19,8 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Superpotential, ground_state_from_w
-from .grids import Grid, SampledFunction, cumulative_integral, derivative, integrate
+from .core import Superpotential, apply_A, ground_state_from_w, normalized
+from .grids import Grid, SampledFunction, cumulative_integral, integrate
 
 
 class IsospectralError(ValueError):
@@ -144,15 +144,9 @@ class IsoFamily:
         self._check(lam)
         if energy <= 0:
             raise IsospectralError("excited-state deformation needs E > 0")
-        x = self.grid.points
-        c = self.source.c
-        u = self._u(lam)
-        a_psi = c * derivative(psi_n).values + np.asarray(
-            self.source.w(x), dtype=float
-        ) * psi_n.values
-        vals = psi_n.values + (c / energy) * (self.psi0.values**2 / u) * a_psi
-        norm = integrate(SampledFunction(self.grid, vals**2))
-        return SampledFunction(self.grid, vals / math.sqrt(norm))
+        ratio = self.psi0.values**2 / self._u(lam)
+        vals = psi_n.values + (self.source.c / energy) * ratio * apply_A(self.source, psi_n).values
+        return normalized(SampledFunction(self.grid, vals))
 
 
 def conserved_charges(v: SampledFunction, v_infinity: float) -> tuple[float, float]:

@@ -36,7 +36,6 @@ class PeriodicSuperpotential:
 
     w: Callable[[np.ndarray], np.ndarray]
     period: float
-    n_check: int = 2001
 
     def __post_init__(self):
         if self.period <= 0:
@@ -48,7 +47,7 @@ class PeriodicSuperpotential:
 
     @property
     def phi_L(self) -> float:
-        g = Grid(0.0, self.period, self.n_check)
+        g = Grid(0.0, self.period, 2001)
         return integrate(sample(self.w, g))
 
     def v1(self, x):
@@ -58,12 +57,12 @@ class PeriodicSuperpotential:
         return Superpotential(self.w).v2(x)
 
 
-def zero_mode_check(w: PeriodicSuperpotential, tol: float = 1e-10) -> str:
+def zero_mode_check(w: PeriodicSuperpotential) -> str:
     """"unbroken" iff phi_L vanishes, so exp(-+ int W) are periodic zero modes."""
-    return "unbroken" if abs(w.phi_L) <= tol * max(1.0, w.period) else "broken"
+    return "unbroken" if abs(w.phi_L) <= 1e-10 * max(1.0, w.period) else "broken"
 
 
-def self_isospectral_classify(w: PeriodicSuperpotential, tol: float = 1e-9) -> str:
+def self_isospectral_classify(w: PeriodicSuperpotential) -> str:
     """Structural self-isospectrality of the partner pair generated by W.
 
     Returns "half-period-antisymmetric" (W(x + L/2) = -W(x), so
@@ -74,12 +73,12 @@ def self_isospectral_classify(w: PeriodicSuperpotential, tol: float = 1e-9) -> s
     x = np.linspace(0.0, w.period, 1024, endpoint=False)
     wx = np.asarray(w.w(x), dtype=float)
     scale = max(1.0, float(np.max(np.abs(wx))))
-    if np.max(np.abs(np.asarray(w.w(x + 0.5 * w.period)) + wx)) <= tol * scale:
+    if np.max(np.abs(np.asarray(w.w(x + 0.5 * w.period)) + wx)) <= 1e-9 * scale:
         dev = np.max(np.abs(w.v2(x) - w.v1(x + 0.5 * w.period)))
         if dev > 1e-6 * scale**2:
             raise PeriodicError(f"antisymmetry holds but potentials differ ({dev:.2e})")
         return "half-period-antisymmetric"
-    if np.max(np.abs(np.asarray(w.w(-x)) - wx)) <= tol * scale:
+    if np.max(np.abs(np.asarray(w.w(-x)) - wx)) <= 1e-9 * scale:
         dev = np.max(np.abs(w.v2(x) - w.v1(-x)))
         if dev > 1e-6 * scale**2:
             raise PeriodicError(f"evenness holds but potentials differ ({dev:.2e})")

@@ -1,4 +1,4 @@
-"""Special functions: erfc, complete elliptic integral K(m), Jacobi sn/cn/dn.
+"""Special functions: sech, csch, erfc, complete elliptic integral K(m), Jacobi sn/cn/dn.
 
 K(m) and the Jacobi functions are computed with the arithmetic-geometric mean
 (descending Landen transformation), which is cheap and uniformly accurate for
@@ -15,6 +15,18 @@ import numpy as np
 
 class DomainError(ValueError):
     """Argument outside the supported parameter range."""
+
+
+def sech(z):
+    """1/cosh z, quiet where cosh overflows (|z| beyond ~710) and the limit is 0."""
+    with np.errstate(over="ignore"):
+        return 1.0 / np.cosh(z)
+
+
+def csch(z):
+    """1/sinh z, quiet where sinh overflows (|z| beyond ~710) and the limit is 0."""
+    with np.errstate(over="ignore"):
+        return 1.0 / np.sinh(z)
 
 
 def erfc(x):

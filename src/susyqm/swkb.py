@@ -9,14 +9,14 @@ is monotone in E and the quantization targets are
 The inverse-square-root endpoint singularity is removed by the substitution
 x = mid + halfwidth * sin(theta), after which Gauss-Legendre quadrature
 converges spectrally. The turning points and the level energy are both
-found with Brent's zero finder, and the coincident turning points of the
-SWKB ground level with his bounded minimizer (R. P. Brent, Algorithms for
-Minimization without Derivatives, 1973). Both are pure-Python ports of the
-forms scipy runs (`scipy.optimize.brentq` and
-`minimize_scalar(method="bounded")`), step for step, so the levels are bit
-for bit those of scipy while the module loads no scipy. SWKB reproduces the
-exact spectrum for every shape-invariant entry; ordinary WKB is exact only for
-the oscillator and Morse wells.
+found with Brent's zero finder (R. P. Brent, Algorithms for Minimization
+without Derivatives, 1973), a pure-Python port of `scipy.optimize.brentq`,
+step for step, so the levels are bit for bit those of scipy while the module
+loads no scipy. The SWKB V1 ground level needs no search in E: at E = 0 the
+turning points meet at the zero x0 of W, so E0 = W(x0)^2, which is 0 up to
+roundoff (Comtet, Bandrauk & Campbell, Phys. Lett. B 150 (1985) 159). SWKB
+reproduces the exact spectrum for every shape-invariant entry; ordinary WKB
+is exact only for the oscillator and Morse wells.
 """
 
 from __future__ import annotations
@@ -101,82 +101,6 @@ def _brentq(f: Callable[[float], float], a: float, b: float, xtol: float, maxite
         xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
         fcur = call(xcur)
     raise QuantizeError(f"Brent's method did not converge in {maxiter} iterations, x={xcur}")
-
-
-def _fminbound(f: Callable[[float], float], lo: float, hi: float) -> float:
-    """The minimum value of f on [lo, hi] by Brent's bounded minimizer.
-
-    scipy's `_minimize_scalar_bounded` with xatol = 1e-13, step for step:
-    golden-section steps, replaced by a parabola through the three best
-    points (xf, nfc, fulc) whenever that step is short and stays inside the
-    bracket [a, b]. Like scipy it returns the best value found when maxfun
-    evaluations run out.
-    """
-    xatol, maxfun = 1e-13, 500
-    sqrt_eps = math.sqrt(2.2e-16)
-    golden_mean = 0.5 * (3.0 - math.sqrt(5.0))
-    a, b = float(lo), float(hi)
-    fulc = a + golden_mean * (b - a)
-    nfc = xf = fulc
-    rat = e = 0.0
-    fx = f(xf)
-    num = 1
-    ffulc = fnfc = fx
-    xm = 0.5 * (a + b)
-    tol1 = sqrt_eps * abs(xf) + xatol / 3.0
-    tol2 = 2.0 * tol1
-
-    while abs(xf - xm) > tol2 - 0.5 * (b - a):
-        golden = True
-        if abs(e) > tol1:  # try a parabolic fit
-            golden = False
-            r = (xf - nfc) * (fx - ffulc)
-            q = (xf - fulc) * (fx - fnfc)
-            p = (xf - fulc) * q - (xf - nfc) * r
-            q = 2.0 * (q - r)
-            if q > 0.0:
-                p = -p
-            q = abs(q)
-            r, e = e, rat
-            if abs(p) < abs(0.5 * q * r) and q * (a - xf) < p < q * (b - xf):
-                rat = (p + 0.0) / q
-                x = xf + rat
-                if (x - a) < tol2 or (b - x) < tol2:
-                    rat = tol1 if xm - xf >= 0 else -tol1
-            else:
-                golden = True
-        if golden:
-            e = (a - xf) if xf >= xm else (b - xf)
-            rat = golden_mean * e
-
-        x = xf + (1.0 if rat >= 0 else -1.0) * max(abs(rat), tol1)
-        fu = f(x)
-        num += 1
-        if fu <= fx:
-            if x >= xf:
-                a = xf
-            else:
-                b = xf
-            fulc, ffulc = nfc, fnfc
-            nfc, fnfc = xf, fx
-            xf, fx = x, fu
-        else:
-            if x < xf:
-                a = x
-            else:
-                b = x
-            if fu <= fnfc or nfc == xf:
-                fulc, ffulc = nfc, fnfc
-                nfc, fnfc = x, fu
-            elif fu <= ffulc or fulc == xf or fulc == nfc:
-                fulc, ffulc = x, fu
-
-        xm = 0.5 * (a + b)
-        tol1 = sqrt_eps * abs(xf) + xatol / 3.0
-        tol2 = 2.0 * tol1
-        if num >= maxfun:
-            break
-    return fx
 
 
 class Mode(Enum):
@@ -290,18 +214,22 @@ def quantize(problem: QuantizationProblem, n: int) -> float:
     """Energy of level n: root of S(E) = target by Brent's method in E, to 1e-13.
 
     The bracket starts at the well minimum, where S = 0, and its upper end
-    grows geometrically until S reaches the target.
+    grows geometrically until S reaches the target. The SWKB V1 ground level
+    (target 0) is W(x0)^2 at the zero x0 of W, found by Brent's method on W
+    between the scan nodes either side of min W^2; a W that keeps one sign
+    there (broken SUSY) has no such level and raises QuantizeError.
     """
     target = problem.target(n)
     xs, wvals = problem.scan
     well_min = float(np.min(wvals))
     edge = float(min(wvals[0], wvals[-1]))
     if target == 0.0:
-        # ground level of the SWKB V1 rule: coincident turning points at min W^2
         i = int(np.argmin(wvals))
-        lo_b = xs[max(i - 1, 0)]
-        hi_b = xs[min(i + 1, xs.size - 1)]
-        return min(well_min, _fminbound(lambda x: float(problem.well(x)), lo_b, hi_b))
+        lo_b, hi_b = xs[max(i - 1, 0)], xs[min(i + 1, xs.size - 1)]
+        w = lambda x: float(problem.profile(np.asarray(x)))
+        if w(lo_b) * w(hi_b) > 0:
+            raise QuantizeError("SWKB's n = 0 level needs W to change sign (unbroken SUSY)")
+        return float(problem.well(_brentq(w, lo_b, hi_b, xtol=1e-14)))
 
     @lru_cache(maxsize=None)  # Brent re-evaluates the bracket end the growth loop just tried
     def f(e):
@@ -349,9 +277,7 @@ def problem_for_entry(
     )
 
 
-def exactness_audit(
-    entries: list[SipEntry], n_max: int = 5, include_wkb: bool = True
-) -> list[AuditRow]:
+def exactness_audit(entries: list[SipEntry], n_max: int = 5) -> list[AuditRow]:
     """Per-entry, per-level comparison of SWKB (and WKB where sensible) to E_n."""
     rows = []
     for entry in entries:
@@ -359,7 +285,7 @@ def exactness_audit(
         prob = problem_for_entry(entry, Mode.SWKB_V1)
         for n, e_exact in enumerate(spec):
             rows.append(AuditRow(entry.name, "swkb", n, e_exact, quantize(prob, n)))
-        if include_wkb and entry.name in WKB_APPLICABLE:
+        if entry.name in WKB_APPLICABLE:
             prob_w = problem_for_entry(entry, Mode.WKB)
             for n, e_exact in enumerate(spec):
                 e = quantize(prob_w, n)

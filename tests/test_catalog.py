@@ -1,5 +1,6 @@
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -23,6 +24,24 @@ def test_every_entry_is_shape_invariant():
     for name in CATALOG_NAMES:
         entry = sip_lookup(name)
         assert shape_invariance_residual(entry) < 1e-9, name
+
+
+@pytest.mark.parametrize("name, step", [
+    ("morse", lambda p: {**p, "A": p["A"] - 2.0 * p["alpha"]}),
+    ("coulomb", lambda p: {**p, "l": p["l"] + 2.0}),
+    ("shifted_oscillator", lambda p: {**p, "omega": 2.0 * p["omega"]}),
+])
+def test_a_wrong_step_breaks_the_remainder_sum(name, step):
+    # sum_k R(a_k) follows the step's chain; E_n(a1) does not
+    with pytest.raises(CatalogError, match="remainder sum"):
+        sip_spectrum(replace(sip_lookup(name), step=step), 3)
+
+
+@pytest.mark.parametrize("name", CATALOG_NAMES)
+def test_a_wrong_closed_form_breaks_shape_invariance(name):
+    entry = sip_lookup(name)
+    wrong = replace(entry, energy_closed=lambda n, p: 1.01 * entry.energy_closed(n, p))
+    assert shape_invariance_residual(wrong) > 1e-9
 
 
 def test_unknown_name():

@@ -315,6 +315,15 @@ def test_warnings_are_printed_once_on_stderr(capsys, out_format):
 
 
 @pytest.mark.parametrize(
+    "w_expr, grid", [("2*sech(x)", "-800,800,11"), ("2*csch(x)", "1,800,11")], ids=["sech", "csch"]
+)
+def test_sech_and_csch_past_the_overflow_of_cosh_and_sinh_print_no_warning(capsys, w_expr, grid):
+    # 1/cosh and 1/sinh tend to 0 where cosh and sinh overflow to inf
+    assert main(["partner", "--w-expr", w_expr, "--grid", grid]) == 0
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ["spectrum", "--potential", "morse", "--levels", "0"],

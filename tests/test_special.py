@@ -1,10 +1,11 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 from scipy import special as sps
 
-from susyqm.special import DomainError, _landen, elliptic_K, erfc, jacobi_sn_cn_dn
+from susyqm.special import DomainError, _landen, csch, elliptic_K, erfc, jacobi_sn_cn_dn, sech
 
 M_GRID = np.linspace(0.01, 0.99, 99)
 
@@ -13,6 +14,15 @@ def test_erfc_scalar_and_array():
     assert erfc(0.0) == pytest.approx(1.0)
     xs = np.linspace(-3, 3, 13)
     assert np.allclose(erfc(xs), sps.erfc(xs), atol=1e-15)
+
+
+def test_sech_and_csch_tend_to_zero_without_an_overflow_warning():
+    z = np.array([-800.0, -0.5, 0.5, 800.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert sech(z) == pytest.approx([0.0, 1.0 / math.cosh(0.5), 1.0 / math.cosh(0.5), 0.0], rel=1e-15)
+        assert csch(z) == pytest.approx([0.0, -1.0 / math.sinh(0.5), 1.0 / math.sinh(0.5), 0.0], rel=1e-15)
+        assert sech(-800.0) == 0.0 and csch(800.0) == 0.0
 
 
 def test_elliptic_K_against_scipy():

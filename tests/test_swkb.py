@@ -9,7 +9,6 @@ from susyqm.swkb import (
     QuantizationProblem,
     QuantizeError,
     _brentq,
-    _fminbound,
     action_integral,
     boundary_phase,
     exactness_audit,
@@ -174,7 +173,7 @@ def test_brentq_port_matches_scipy_bit_for_bit(f, a, b, xtol):
 
 def test_ports_match_scipy_on_random_brackets():
     # looser tolerances and many brackets reach the branches the fixed cases above do not
-    from scipy.optimize import brentq, minimize_scalar
+    from scipy.optimize import brentq
 
     rng = np.random.default_rng(5)
     roots = [lambda x: math.cos(x) - x, lambda x: math.exp(x) - 3.0, lambda x: x**3 - x - 1.0,
@@ -183,11 +182,6 @@ def test_ports_match_scipy_on_random_brackets():
         for a, b in zip(rng.uniform(-3.0, 0.0, 40), rng.uniform(1.5, 4.0, 40)):
             for xtol in (1e-8, 2e-12, 1e-14):
                 assert _brentq(f, a, b, xtol) == brentq(f, a, b, xtol=xtol)
-    minima = [lambda x: math.cosh(x - 0.1) ** 2, lambda x: (math.tanh(x) - 0.2) ** 2, lambda x: x**4 - x]
-    for f in minima:
-        for lo, width in zip(rng.uniform(-2.0, 0.0, 40), rng.uniform(1e-4, 3.0, 40)):
-            ref = minimize_scalar(f, bounds=(lo, lo + width), method="bounded", options={"xatol": 1e-13})
-            assert _fminbound(f, lo, lo + width) == ref.fun
 
 
 def test_brentq_port_raises_on_a_same_sign_bracket():
@@ -199,24 +193,29 @@ def test_brentq_port_raises_on_a_same_sign_bracket():
         _brentq(lambda x: math.tanh(40.0 * (x - 0.3)), -3.0, 4.0, xtol=1e-14, maxiter=3)
 
 
-@pytest.mark.parametrize(
-    "prob",
-    [
-        problem_for_entry(sip_lookup("morse"), Mode.SWKB_V1),
-        problem_for_entry(sip_lookup("scarf1"), Mode.SWKB_V1),
-        QuantizationProblem(  # W^2 = (x^2 - x/2 + 0.3)^2 > 0: broken SUSY
-            mode=Mode.SWKB_V1, profile=lambda x: np.asarray(x, float) ** 2 - 0.5 * x + 0.3, window=(-3.0, 3.0)
-        ),
-    ],
-    ids=["morse", "scarf1", "broken"],
-)
-def test_fminbound_port_matches_scipy_bit_for_bit(prob):
-    from scipy.optimize import minimize_scalar
+@pytest.mark.parametrize("name", CATALOG_NAMES)
+def test_swkb_ground_level_is_zero_to_roundoff(name):
+    # E0 = W(x0)^2 at the zero x0 of W vanishes to roundoff
+    assert abs(quantize(problem_for_entry(sip_lookup(name), Mode.SWKB_V1), 0)) <= 1e-20
 
-    xs, u = prob.scan
-    i = int(np.argmin(u))
-    f = lambda x: float(prob.well(x))
-    # quantize's bracket of the scan nodes next to the minimum, and a wider, lopsided one
-    for lo, hi in ((xs[i - 1], xs[i + 1]), (xs[i - 40], xs[i + 70])):
-        ref = minimize_scalar(f, bounds=(lo, hi), method="bounded", options={"xatol": 1e-13})
-        assert _fminbound(f, lo, hi) == ref.fun
+
+def broken_problem():
+    # W = x^2 - x/2 + 0.3 > 0 keeps one sign: broken SUSY, no zero for E0 to sit at
+    return QuantizationProblem(
+        mode=Mode.SWKB_V1, profile=lambda x: np.asarray(x, float) ** 2 - 0.5 * x + 0.3, window=(-3.0, 3.0)
+    )
+
+
+def test_ground_level_of_broken_susy_raises():
+    with pytest.raises(QuantizeError, match="W to change sign"):
+        quantize(broken_problem(), 0)
+    assert quantize(broken_problem(), 1) > 0.0  # the levels above keep their rule
+
+
+def test_ground_check_reports_broken_susy_as_a_failure(monkeypatch):
+    from susyqm import selfcheck
+
+    monkeypatch.setattr(selfcheck, "problem_for_entry", lambda entry, mode: broken_problem())
+    result = selfcheck.check_swkb_ground()
+    assert not result.passed
+    assert "W to change sign" in result.detail
