@@ -420,25 +420,30 @@ def well_hierarchy_potential(p: int, L: float = math.pi):
 
 
 def numeric_levels(entry: SipEntry, count: int, n_points: int = 4001) -> list[EigenPair]:
-    """Numeric spectrum of V1 on the entry's box (independent oracle).
+    """Numeric spectrum of V1 on the entry's domain (independent oracle).
 
-    The spectral engine picks its basis from the entry's walls: the sine DVR
-    on the box for wells with no wall, the Lagrange-Laguerre mesh on
+    The spectral engine picks its basis from the entry's walls: the
+    sinh-mapped sine DVR for wells with no wall, the Lagrange-Laguerre mesh on
     [box[0], inf) for a wall only at the left end (the box length sets its
     scales), and the Lagrange-Jacobi mesh on the box for a wall at both ends.
-    At each wall psi goes as d^s with s = lim -+d W, the exponent of the
-    ground state exp(-int W): W picks the self-adjoint extension, also where
-    V1 ~ s (s - 1)/d^2 admits d^(1 - s) as well, while the energies still
-    come from V1 alone. Levels converge to 1e-10 relative, and n_points only
-    sets the grid psi is returned on.
+    Each end where the domain is infinite is open (None in walls): there the
+    DVR's nodes reach 3000 past the well's centre instead of stopping at the
+    box, unless V1 is not finite or above 1e6 that far out, and a level at
+    or above V1 at the far node is flagged as not bound. The map is centred
+    at V1's minimum in the box (its centre for an even V1) with twice the
+    well's oscillator length as its scale. At each wall psi goes as d^s with
+    s = lim -+d W, the exponent of the ground state exp(-int W): W picks the
+    self-adjoint extension, also where V1 ~ s (s - 1)/d^2 admits d^(1 - s)
+    as well, while the energies still come from V1 alone. Levels converge to
+    1e-10 relative, and psi is returned on Grid(*box, n_points).
     """
     from .spectral import _ground_state_exponent, spectral_bound_states
 
     lo, hi = entry.box
     w = entry.superpotential().w
     walls = tuple(
-        _ground_state_exponent(w, wall, hi - lo, sense) if on else False
-        for wall, sense, on in ((lo, 1.0, entry.wall_lo), (hi, -1.0, entry.wall_hi))
+        _ground_state_exponent(w, wall, hi - lo, sense) if on else (None if math.isinf(end) else False)
+        for wall, sense, on, end in zip(entry.box, (1.0, -1.0), (entry.wall_lo, entry.wall_hi), entry.domain)
     )
     return spectral_bound_states(entry.v1, entry.box, count, walls=walls, n_points=n_points)
 

@@ -8,7 +8,8 @@ coarsening. The grids vals[::2**j] are solved coarse to fine: bisection on
 the coarsest, then on each finer grid Rayleigh-quotient iteration from the
 coarser grid's levels, one O(n) tridiagonal solve (LAPACK dgtsv) a step, and
 a certificate that the refined levels are the lowest ones (distinct residual
-intervals and a Sturm count). A grid that fails it is bisected instead.
+intervals and a Sturm count). A grid that fails it is bisected instead,
+and after a split below the residual intervals so is every finer grid.
 dirichlet_tridiagonal is the one assembly of that stencil: every grid of the
 cascade and the direct route of core.algebra_check use it. EigenPair is the
 level type of every solver. A callable V, catalog wells and the well ladder
@@ -79,17 +80,16 @@ def lowest_eigenvalues(d: np.ndarray, e: np.ndarray, count: int) -> np.ndarray:
     """The lowest min(count, d.size) eigenvalues of the tridiagonal (d, e)."""
     from scipy.linalg import eigh_tridiagonal  # imported on use: keeps scipy off the CLI's start-up
 
-    count = min(count, d.size)
-    return eigh_tridiagonal(d, e, select="i", select_range=(0, count - 1), eigvals_only=True)
+    return eigh_tridiagonal(d, e, select="i", select_range=(0, min(count, d.size) - 1), eigvals_only=True)
 
 
 def _strides(n_points: int) -> list[int]:
     """Strides s of the cascade grids vals[::s], finest first: the 2h and 4h
     grids while they keep 5 points (Richardson and its estimate read them),
     then coarser ones down to the first grid below COARSEST_POINTS points."""
-    strides = [1]
-    while (n_points - 1) % (2 * strides[-1]) == 0 and (n_points - 1) // (2 * strides[-1]) >= 4:
-        if len(strides) >= 3 and (n_points - 1) // strides[-1] + 1 < COARSEST_POINTS:
+    strides, intervals = [1], n_points - 1
+    while intervals % (2 * strides[-1]) == 0 and intervals // (2 * strides[-1]) >= 4:
+        if len(strides) >= 3 and intervals // strides[-1] + 1 < COARSEST_POINTS:
             break
         strides.append(2 * strides[-1])
     return strides
@@ -101,11 +101,8 @@ def _bisected(v: np.ndarray, h: float, count: int) -> tuple[np.ndarray, list]:
     from scipy.linalg import eigh_tridiagonal
 
     d, e = dirichlet_tridiagonal(v, h, 1.0)
-    k = min(count, d.size)
-    energies, vecs = eigh_tridiagonal(d, e, select="i", select_range=(0, k - 1))
-    psi = np.zeros((k, v.size))
-    psi[:, 1:-1] = vecs.T
-    return energies, list(psi)
+    energies, vecs = eigh_tridiagonal(d, e, select="i", select_range=(0, min(count, d.size) - 1))
+    return energies, list(np.pad(vecs.T, ((0, 0), (1, 1))))
 
 
 def _prolonged(c: np.ndarray) -> np.ndarray:
@@ -160,14 +157,15 @@ def _count_at_or_below(v: np.ndarray, h: float, x: float) -> int:
     from scipy.linalg.lapack import dstebz
 
     d, e = dirichlet_tridiagonal(v, h, 1.0)
-    lo = float(np.min(d)) - 2.0 * abs(float(e[0])) - 1.0  # below every eigenvalue
+    lo = d.min() - 2.0 * abs(e[0]) - 1.0  # below every eigenvalue
     # an abstol wider than (lo, x]: dstebz counts and bisects nothing
     return dstebz(d, e, 1, lo, x, 0, 0, 2.0 * (x - lo), b"E")[0]
 
 
 def _refined(v: np.ndarray, h: float, energies: np.ndarray, vectors: list):
     """The lowest len(energies) eigenpairs of the grid v by RQI from those of
-    the 2h grid, whose vectors it pops; None unless certified.
+    the 2h grid, whose vectors it pops; None unless certified, and False
+    where two distinct levels fail on their residual intervals alone.
 
     The certificate: the intervals E_i -+ r_i (r_i the residual plus one
     rounding) are disjoint, so they hold k distinct eigenvalues, and a Sturm
@@ -176,7 +174,7 @@ def _refined(v: np.ndarray, h: float, energies: np.ndarray, vectors: list):
     and its workspace then shares memory with one vector of this grid only.
     """
     off = -1.0 / h**2
-    norm = max(float(v[1:-1].max()), -float(v[1:-1].min())) + 4.0 * abs(off)  # |T| bound
+    norm = float(np.abs(v[1:-1]).max()) + 4.0 * abs(off)  # |T| bound
     rounding = 4.0 * np.finfo(float).eps * norm  # of a residual or a Sturm count
     k = len(energies)
     levels, psis = [None] * k, [None] * k
@@ -189,23 +187,35 @@ def _refined(v: np.ndarray, h: float, energies: np.ndarray, vectors: list):
             return None
     energies, residuals = map(np.array, zip(*levels))
     radii = residuals + rounding
-    if np.any(np.diff(energies) <= radii[:-1] + radii[1:]):
-        return None
+    close = np.flatnonzero(np.diff(energies) <= radii[:-1] + radii[1:])
+    if close.size:
+        # parallel vectors are two levels on one eigenvalue, a level the
+        # coarser grid missed; else a split below the intervals (False), which
+        # stays below them on every finer grid
+        return None if any(abs(psis[i] @ psis[i + 1]) > 0.5 for i in close) else False
     return energies, psis
 
 
 def _cascade(vals: np.ndarray, h: float, count: int) -> tuple[list, list]:
     """The lowest levels of each grid vals[::s], s in _strides, solved coarse
-    to fine: their energies, finest grid first, and the finest grid's vectors."""
-    solved = []
-    level = None
+    to fine: their energies, finest grid first, and the finest grid's vectors.
+
+    Once two distinct levels of a grid fail on their residual intervals
+    (False from _refined), that grid and every finer one are bisected at
+    once, with no more RQI: a split below the intervals of one grid stays
+    below those of the next, whose |T| is four times larger. Of those grids
+    only the finest needs its vectors; the others give Richardson their
+    eigenvalues."""
+    solved, level = [], None
     for s in reversed(_strides(vals.size)):
-        if level is not None and len(level[0]) == count:
-            level = _refined(vals[::s], s * h, *level)
-        else:
-            level = None
-        if level is None:
-            level = _bisected(vals[::s], s * h, count)
+        grid = vals[::s], s * h
+        if level and len(level[0]) == count:
+            level = _refined(*grid, *level)
+        if level is False and s > 1:  # the intervals failed on this grid or a coarser one
+            solved.insert(0, lowest_eigenvalues(*dirichlet_tridiagonal(*grid, 1.0), count))
+            continue
+        if not level or len(level[0]) < count:
+            level = _bisected(*grid, count)
         solved.insert(0, level[0])
         if s > 1:  # these vectors only start RQI on the next grid: single precision halves them
             level = (level[0], [psi.astype(np.float32) for psi in level[1]])
@@ -234,8 +244,12 @@ def bound_states(v: SampledFunction, count: int, check_decay: bool = True) -> li
     below the top one. A grid is bisected instead, and the cascade goes on
     from it, when that fails (RQI that does not settle in _RQI_STEPS steps,
     two levels on one eigenvalue, a level the coarser grid missed) or when
-    the coarser grid has fewer interior points than `count`. Either way each
-    grid's energies agree with its bisection to a few eps * |T|.
+    the coarser grid has fewer interior points than `count`. Two distinct
+    levels closer than their residual intervals stay so on every finer grid,
+    whose |T| is four times larger: from the grid where that happens on,
+    every grid is bisected at once, for its eigenvalues only but on the
+    finest. Either way each grid's energies agree with its bisection to a
+    few eps * |T|.
     """
     grid, vals = v.grid, v.values
     h = grid.h
@@ -251,26 +265,23 @@ def bound_states(v: SampledFunction, count: int, check_decay: bool = True) -> li
     if len(solved) > 1:
         coarse = solved[1]
         k = coarse.size
-        energies = energies.copy()
         energies[:k] = (4.0 * energies[:k] - coarse) / 3.0
         if len(solved) > 2:
             coarser = solved[2]
             j = coarser.size
             errors[:j] = np.abs(energies[:j] - (4.0 * coarse[:j] - coarser) / 3.0)
 
-    continuum_edge = min(vals[0], vals[-1])
     pairs = []
-    for i in range(count):
-        psi = psis[i]
+    for i, psi in enumerate(psis):
         psi /= math.sqrt(integrate(SampledFunction(grid, psi**2)))
         psi *= _flip_sign(psi)
-        bound = energies[i] < continuum_edge
+        bound = energies[i] < min(vals[0], vals[-1])
         if check_decay and bound:
-            edge_amp = max(abs(psi[1]), abs(psi[-2]))
+            edge_amp = np.abs(psi[[1, -2]]).max()
             if edge_amp > 1e-6 * np.max(np.abs(psi)):
                 warnings.warn(
                     f"state {i} has edge amplitude {edge_amp:.2e}; widen the box",
-                    stacklevel=2,
+                    stacklevel=2
                 )
         pairs.append(
             EigenPair(
@@ -278,7 +289,7 @@ def bound_states(v: SampledFunction, count: int, check_decay: bool = True) -> li
                 SampledFunction(grid, psi),
                 count_nodes(psi[1:-1]),
                 bound,
-                float(errors[i]),
+                float(errors[i])
             )
         )
     return pairs

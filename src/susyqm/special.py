@@ -1,4 +1,5 @@
-"""Special functions: sech, csch, erfc, complete elliptic integral K(m), Jacobi sn/cn/dn.
+"""Special functions: sech, csch, erfc, complete elliptic integral K(m), Jacobi sn/cn/dn,
+and the three-term recurrence of the orthonormal Jacobi polynomials.
 
 K(m) and the Jacobi functions are computed with the arithmetic-geometric mean
 (descending Landen transformation), which is cheap and uniformly accurate for
@@ -103,3 +104,19 @@ def _jacobi_agm(x: np.ndarray, m: float):
     # precision where cn vanishes
     dn = np.sqrt((1.0 - m) + m * cn * cn)
     return sn, cn, dn
+
+
+def jacobi_recurrence(n: int, a: float, b: float) -> tuple[np.ndarray, np.ndarray, float]:
+    """(d, e, p_0) of the orthonormal Jacobi polynomials p_0..p_(n-1) of weight
+    (1 - u)^a (1 + u)^b on (-1, 1), which obey u p_k = e_k p_(k+1) + d_k p_k + e_(k-1) p_(k-1)."""
+    k = np.arange(n, dtype=float)
+    s = 2.0 * k + a + b
+    with np.errstate(divide="ignore", invalid="ignore"):
+        d = (b * b - a * a) / (s * (s + 2.0))
+        e = np.sqrt(4.0 * k * (k + a) * (k + b) * (k + a + b) / (s * s * (s + 1.0) * (s - 1.0)))[1:]
+    # k = 0 and 1 in forms without the 0/0 of a + b = 0 or -1
+    d[0] = (b - a) / (a + b + 2.0)
+    if n > 1:
+        e[0] = math.sqrt(4.0 * (1.0 + a) * (1.0 + b) / ((a + b + 2.0) ** 2 * (a + b + 3.0)))
+    log_mass = (a + b + 1.0) * math.log(2.0) + math.lgamma(a + 1.0) + math.lgamma(b + 1.0)
+    return d, e, math.exp(-0.5 * (log_mass - math.lgamma(a + b + 2.0)))

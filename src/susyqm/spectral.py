@@ -3,9 +3,14 @@
 Units are the catalog's, hbar = 2m = 1. Three bases, chosen by where the walls
 are:
 
-- the sine DVR (Colbert & Miller, J. Chem. Phys. 96 (1992) 1982, App. A) on a
-  finite box, with Dirichlet walls exactly at the box ends, for wells with no
-  wall;
+- for wells with no wall, the sine DVR (Colbert & Miller, J. Chem. Phys. 96
+  (1992) 1982, App. A) on the sinh map x = x_c + a sinh(s/a), uniform in s
+  (Kokoouline et al., J. Chem. Phys. 110 (1999) 9865): x_c sits at V's
+  minimum, or at the interval's centre where V is mirror-symmetric, and a is
+  twice the oscillator length (2/V'')^(1/4) of the well, a = inf (the
+  uniform grid) for a flat V. At an open end (the domain goes on) the nodes
+  reach 3000 from x_c, so that no box cuts a weakly bound level off; at a
+  closed end psi = 0 at the interval's end;
 - a Lagrange-Laguerre mesh on the half line from the one wall, whose scale is
   one of a fixed set of fractions of the box length;
 - a Lagrange-Jacobi mesh on [lo, hi] for wells with a wall at both ends.
@@ -36,6 +41,7 @@ from scipy.linalg.lapack import dsyevr
 
 from .eigensolver import EigenPair, SolverError, _flip_sign
 from .grids import Grid, SampledFunction, count_nodes
+from .special import jacobi_recurrence
 
 SPECTRAL_TOL = 1e-10  # level change between N/2 and N, relative to max(1, |E|)
 SPECTRAL_CAP = 1024  # largest basis size N
@@ -45,7 +51,10 @@ _N_START = 16
 # spectra_grid, seeds 1-30, a scale of 1/320 won 7 and 1/640 none; without
 # them every draw still converges, 6 of them at the next N.
 LAGUERRE_SCALES = (40, 80, 160)
-_CHUNK = 1 << 16  # matrix entries per chunk when a wall-mesh psi is built
+_CHUNK = 1 << 16  # matrix entries per chunk when psi is built
+_SAMPLES = 1024  # V sampled at 2 _SAMPLES + 1 points of the interval to place the sinh map
+_REACH = 3000.0  # an open end's nodes reach this far from x_c ...
+_REACH_V = 1e6  # ... where V there is finite and at most this
 
 
 def _eigh_lowest(h: np.ndarray, count: int):
@@ -67,110 +76,125 @@ def _eigh_lowest(h: np.ndarray, count: int):
 @dataclass(frozen=True)
 class _Levels:
     """The lowest levels in one basis: energies and coefficients, psi at the
-    nodes, the continuum edge, and which levels the basis resolves at all."""
+    nodes, and the continuum edge: the levels below it are bound and must
+    converge, the others are discretized continuum."""
 
     energies: np.ndarray
     coef: np.ndarray  # (N, count), orthonormal columns
     values: np.ndarray  # psi at the nodes, (N, count)
-    edge: float  # V at the outermost node(s) next to an end without a wall
-    physical: np.ndarray  # levels that must converge
+    edge: float  # V at the outermost node next to an open end (inf if none); levels below it must converge
     psi: Callable  # (coef column, grid) -> psi on the grid
 
 
+def _values(v, x: np.ndarray) -> np.ndarray:
+    # V at x with its floating-point warnings silenced: an overflow (1/sinh of a
+    # far node is 1/inf = 0) is harmless, and a non-finite V is the caller's to judge
+    with np.errstate(all="ignore"):
+        return np.broadcast_to(np.asarray(v(x), dtype=float), x.shape)
+
+
 def _potential_at(v, x: np.ndarray) -> np.ndarray:
-    # an overflow inside V (1/sinh of a far node is 1/inf = 0) is harmless; a
-    # non-finite V is caught below
-    with np.errstate(over="ignore"):
-        vx = np.broadcast_to(np.asarray(v(x), dtype=float), x.shape)
+    vx = _values(v, x)
     bad = ~np.isfinite(vx)
     if bad.any():
         raise SolverError(f"V is not finite at the mesh node x = {x[bad][0]:.6g}")
     return vx
 
 
-def _toeplitz_plus_hankel(t: np.ndarray, hk: np.ndarray, size: int) -> np.ndarray:
-    """M_ij = t[size - 1 + j - i] + hk[i + j] for i, j = 0..size-1 (a new array)."""
-    windows = np.lib.stride_tricks.sliding_window_view
-    return windows(t, size)[::-1] + windows(hk, size)
-
-
-def _dst1(y: np.ndarray) -> np.ndarray:
-    """sum_j y_j sin(pi j k / (n + 1)) for j, k = 1..n (DST-I), through one real FFT."""
-    n = y.size
-    z = np.zeros(2 * (n + 1))
-    z[1 : n + 1] = y
-    z[n + 2 :] = -y[::-1]
-    return -0.5 * np.fft.rfft(z)[1 : n + 1].imag
+def _by_rows(fn, y: np.ndarray, n: int) -> np.ndarray:
+    """fn over y in chunks of rows, fn(chunk) summing an (rows, n) array over
+    its columns, so that no chunk holds more than _CHUNK entries."""
+    rows = max(1, _CHUNK // n)
+    return np.concatenate([fn(y[i : i + rows]) for i in range(0, y.size, rows)])
 
 
 class _SineDVR:
-    """psi = sum_k a_k sqrt(2/L) sin(k pi (x - lo)/L), k = 1..N, collocated at
-    the N interior points x_i = lo + i L/(N+1); psi = 0 at lo and hi."""
+    """Sine DVR (Colbert & Miller, J. Chem. Phys. 96 (1992) 1982, App. A) in s
+    on the sinh map x = x_c + a sinh(s/a) (Kokoouline et al., J. Chem. Phys.
+    110 (1999) 9865; Tiesinga, Williams & Julienne, Phys. Rev. A 57 (1998)
+    4257). phi = sum_k b_k sqrt(2/L) sin(k pi (s - s_lo)/L), k = 1..N, is
+    collocated at the N interior points s_i = s_lo + i L/(N+1), L = s_hi -
+    s_lo, with phi = 0 at both ends, and psi = phi / sqrt(g) with g = dx/ds =
+    cosh(s/a), so that int psi^2 dx = int phi^2 ds. With f = 1/g^2 =
+    sech^2(s/a) and T the sine DVR's -d^2/ds^2 matrix,
+        H = -d/ds f d/ds + V + (2 g g'' - 5 g'^2)/(4 g^4)
+          = (F T + T F)/2 + diag(V + f''/2 + (2 g g'' - 5 g'^2)/(4 g^4)),
+    and for the sinh map the two terms after V add up to (5 f - 7 f^2)/(4 a^2).
 
-    def __init__(self, lo: float, hi: float):
-        self.lo, self.length = lo, hi - lo
+    V sampled at 2 _SAMPLES + 1 points of the interval places the map: x_c is
+    the interval's centre where the samples are mirror-symmetric (so an even
+    V keeps the parity blocks), else their minimum, and a = 2 (2/V'')^(1/4),
+    twice the oscillator length of V's curvature at that minimum (psi_0 ~
+    exp(-x^2 / 2 l^2) with l = (2/V'')^(1/4)), or a = inf, the uniform grid
+    x = x_c + s, where V'' <= 0 there, as for a flat V. On the 160
+    whole-line catalog draws of perfbench's seeds 1-10, a = 2 l and 2.5 l
+    converge by N = 256 and a = 3 l needs N = 512 for two of them; at a = l
+    the median level error was 1.8 times that at 2 l (seeds 1-5). An end of
+    walls that is None is open: the nodes reach _REACH from x_c past it,
+    unless V there is not finite or above _REACH_V. At every other end, and
+    at an open one that stops, psi = 0 at the interval's end: a box wall."""
+
+    def __init__(self, v, lo: float, hi: float, walls):
+        mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+        x = mid + half * (np.arange(-_SAMPLES, _SAMPLES + 1) / _SAMPLES)
+        vx = _values(v, x)
+        i = int(np.clip(np.argmin(np.nan_to_num(vx, nan=math.inf)), 1, 2 * _SAMPLES - 1))
+        curvature = (vx[i - 1] - 2.0 * vx[i] + vx[i + 1]) * (_SAMPLES / half) ** 2
+        self.xc = mid if np.array_equal(vx, vx[::-1]) else x[i]
+        self.a = 2.0 * (2.0 / curvature) ** 0.25 if curvature > 0 else math.inf
+        self.open = np.array([w is None for w in walls])
+        far = self.xc + max(_REACH, 2.0 * half) * np.array([-1.0, 1.0])
+        ends = np.where((_values(v, far) <= _REACH_V) & self.open, far, [lo, hi])
+        self.s_lo, self.s_hi = self._s(ends)
+
+    def _s(self, x):
+        return self.a * np.arcsinh((x - self.xc) / self.a) if self.a < math.inf else x - self.xc
 
     def levels(self, v, n: int, count: int) -> list[_Levels]:
-        m = n + 1
+        m, length = n + 1, self.s_hi - self.s_lo
         # nodes placed as mirror images about the centre, so an even V is seen as even
-        x = (self.lo + 0.5 * self.length) + 0.5 * self.length * (np.arange(2 - m, m, 2) / m)
-        vx = _potential_at(v, x)
+        s = 0.5 * (self.s_lo + self.s_hi) + 0.5 * length * (np.arange(1 - n, n + 1, 2) / m)
+        f = np.cosh(s / self.a) ** -2.0
+        vx = _potential_at(v, self.xc + (self.a * np.sinh(s / self.a) if self.a < math.inf else s))
         # T_ij = p(|i-j|) - p(i+j+2) for i, j = 0..n-1, with
-        # p(k) = (-1)^k / sin^2(pi k / 2m), p(0) = (2m^2+1)/3, in units of (pi/L)^2/2
+        # p(k) = (-1)^k / sin^2(pi k / 2m), p(0) = (2m^2+1)/3, in units of (pi/L)^2/2,
+        # and p(2m - k) = p(k) exactly, so that an even V gives a persymmetric H
         k = np.arange(2 * m)
         with np.errstate(divide="ignore"):
-            p = np.where(k % 2, -1.0, 1.0) / np.sin(np.pi * k / (2 * m)) ** 2
+            p = np.where(k % 2, -1.0, 1.0) / np.sin(np.pi * np.minimum(k, 2 * m - k) / (2 * m)) ** 2
         p[0] = (2.0 * m * m + 1.0) / 3.0
-        unit = 0.5 * (math.pi / self.length) ** 2
-        if not np.array_equal(vx, vx[::-1]):
-            d = np.arange(1 - n, n)
-            h = _toeplitz_plus_hankel(p[np.abs(d)], -p[2 : 2 * n + 1], n)
-            h *= unit
-            h[np.diag_indices(n)] += vx
-            energies, coef = _eigh_lowest(h, count)
-        else:
+        windows = np.lib.stride_tricks.sliding_window_view
+        h = windows(p[np.abs(np.arange(1 - n, n))], n)[::-1] - windows(p[2 : 2 * n + 1], n)
+        h *= np.add.outer(f, f)
+        h *= 0.25 * (math.pi / length) ** 2
+        h[np.diag_indices(n)] += vx + (5.0 * f - 7.0 * f * f) / (4.0 * self.a**2)
+        if np.array_equal(h, h[::-1, ::-1]):
             # H commutes with the reflection J: the even states [u; Ju] and the
             # odd states [u; -Ju] come from the blocks A +- B of half the size,
-            # B_ij = T(i, n-1-j), assembled without the full matrix (n is a
-            # power of two, so even)
+            # A = H[:n/2, :n/2] and B_ij = H(i, n-1-j) (n is a power of two, so even)
             half = n // 2
-            d, j = np.arange(1 - half, half), np.arange(n - 1)
-            energies, coef = [], []
-            for s in (1.0, -1.0):
-                block = _toeplitz_plus_hankel(
-                    p[np.abs(d)] - s * p[n + 1 - d], s * p[n - 1 - j] - p[j + 2], half
-                )
-                block *= unit
-                block[np.diag_indices(half)] += vx[:half]
-                e, u = _eigh_lowest(block, min(count, half))
-                energies.append(e)
-                coef.append(np.vstack((u, s * u[::-1])) / math.sqrt(2.0))
-            energies, coef = np.concatenate(energies), np.hstack(coef)
+            solves = [
+                (sign, *_eigh_lowest(h[:half, :half] + sign * h[:half, : half - 1 : -1], min(count, half)))
+                for sign in (1.0, -1.0)
+            ]
+            energies = np.concatenate([e for _, e, _ in solves])
+            coef = np.hstack([np.vstack((u, sign * u[::-1])) for sign, _, u in solves]) / math.sqrt(2.0)
             order = np.argsort(energies, kind="stable")[:count]
             energies, coef = energies[order], coef[:, order]
-        return [
-            _Levels(
-                energies,
-                coef,
-                coef * math.sqrt(m / self.length),
-                float(min(vx[0], vx[-1])),
-                np.ones(count, dtype=bool),
-                self.psi,
-            )
-        ]
+        else:
+            energies, coef = _eigh_lowest(h, count)
+        edge = float(np.min(vx[[0, -1]], where=self.open, initial=math.inf))
+        return [_Levels(energies, coef, coef * (math.sqrt(m / length) * f**0.25)[:, None], edge, self.psi)]
 
     def psi(self, coef: np.ndarray, grid: Grid) -> np.ndarray:
-        """Exact psi on the grid: sine amplitudes a = U coef, then a zero-padded
-        DST-I on a grid with at least N+1 intervals, sampled every q-th point."""
-        n = coef.size
-        amp = math.sqrt(2.0 / (n + 1)) * _dst1(coef)
-        intervals = grid.n_points - 1
-        q = -(-(n + 1) // intervals)
-        padded = np.zeros(q * intervals - 1)
-        padded[:n] = amp
-        out = np.zeros(grid.n_points)
-        out[1:-1] = math.sqrt(2.0 / self.length) * _dst1(padded)[q - 1 :: q]
-        return out
+        """psi on the grid by direct sums: the sine amplitudes b = S coef, then
+        phi at s(x), and psi = phi / sqrt(g)."""
+        n, length = coef.size, self.s_hi - self.s_lo
+        k = np.arange(1, n + 1)
+        amp = np.sin(np.outer(k, k) * (math.pi / (n + 1))) @ coef * math.sqrt(2.0 / (n + 1))
+        s = self._s(grid.points)
+        phi = _by_rows(lambda rows: np.sin(np.outer(rows - self.s_lo, k * (math.pi / length))) @ amp, s, n)
+        return phi * math.sqrt(2.0 / length) / np.sqrt(np.cosh(s / self.a))
 
 
 def _wall_limit(f, wall: float, sense: float, rho: float, power: int) -> float:
@@ -226,22 +250,6 @@ def _exponent(end, v, wall: float, length: float, sense: float) -> float:
     if not s > 0.0:
         raise SolverError(f"wall exponent {s:.6g} at {wall:.6g}: psi ~ d^s needs s > 0")
     return s
-
-
-def _jacobi_recurrence(n: int, a: float, b: float) -> tuple[np.ndarray, np.ndarray, float]:
-    """(d, e, p_0) of the orthonormal Jacobi polynomials p_0..p_(n-1) of weight
-    (1 - u)^a (1 + u)^b on (-1, 1), which obey u p_k = e_k p_(k+1) + d_k p_k + e_(k-1) p_(k-1)."""
-    k = np.arange(n, dtype=float)
-    s = 2.0 * k + a + b
-    with np.errstate(divide="ignore", invalid="ignore"):
-        d = (b * b - a * a) / (s * (s + 2.0))
-        e = np.sqrt(4.0 * k * (k + a) * (k + b) * (k + a + b) / (s * s * (s + 1.0) * (s - 1.0)))[1:]
-    # k = 0 and 1 in forms without the 0/0 of a + b = 0 or -1
-    d[0] = (b - a) / (a + b + 2.0)
-    if n > 1:
-        e[0] = math.sqrt(4.0 * (1.0 + a) * (1.0 + b) / ((a + b + 2.0) ** 2 * (a + b + 3.0)))
-    log_mass = (a + b + 1.0) * math.log(2.0) + math.lgamma(a + 1.0) + math.lgamma(b + 1.0)
-    return d, e, math.exp(-0.5 * (log_mass - math.lgamma(a + b + 2.0)))
 
 
 def _kinetic(y: np.ndarray, sign: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -324,22 +332,18 @@ class _WallMesh:
             energies, coef = _eigh_lowest(h, count)
             values = (coef * (np.abs(a) / math.sqrt(scale))[:, None])[:: int(self.sense)]  # in the order of r
             edge = float(vx[-1]) if self.open_end else math.inf
-            out.append(_Levels(energies, coef, values, edge, energies < edge, partial(self.psi, scale)))
+            out.append(_Levels(energies, coef, values, edge, partial(self.psi, scale)))
         return out
 
     def psi(self, scale: float, coef: np.ndarray, grid: Grid) -> np.ndarray:
-        """sum_i coef_i times the Lagrange function of node i on the grid, in chunks of rows."""
+        """sum_i coef_i times the Lagrange function of node i on the grid."""
         n = coef.size
         yn, a = self._nodes(n)
         y = np.clip(self.sense * (grid.points - self.origin) / scale, *self.domain)
         tail, _ = self._tails(y, n)
         w = coef * np.sign(a) / math.sqrt(self._rule(n)[3])
-        out = np.empty_like(y)
-        rows = max(1, _CHUNK // n)
         with np.errstate(divide="ignore", invalid="ignore"):
-            for i in range(0, y.size, rows):
-                yc = y[i : i + rows]
-                out[i : i + rows] = tail[i : i + rows] * (w / (yc[:, None] - yn)).sum(axis=1)
+            out = tail * _by_rows(lambda rows: (w / (rows[:, None] - yn)).sum(axis=1), y, n)
         hit = ~np.isfinite(out)  # a grid point on a node
         out[hit] = [coef[j] * abs(a[j]) for j in np.argmin(np.abs(y[hit, None] - yn), axis=1)]
         return out / math.sqrt(scale)
@@ -381,7 +385,7 @@ class _JacobiMesh(_WallMesh):
 
     def _rule(self, n: int):
         a, b = self.s_hi, self.s_lo
-        return (*_jacobi_recurrence(n + 1, 2.0 * a - 1.0, 2.0 * b - 1.0), 2.0 * (n + a + b) - 1.0)
+        return (*jacobi_recurrence(n + 1, 2.0 * a - 1.0, 2.0 * b - 1.0), 2.0 * (n + a + b) - 1.0)
 
     def _envelope(self, y):
         a, b = self.s_hi, self.s_lo
@@ -396,8 +400,9 @@ def _change(a: _Levels, b: _Levels) -> np.ndarray:
 def _score(a: _Levels, b: _Levels) -> tuple:
     """Most levels resolved at N first, then the smallest worst relative change
     among them; a level resolved at N but not at N/2 has not converged."""
-    change = np.where(a.physical, _change(a, b), math.inf)[b.physical]
-    return (-int(b.physical.sum()), float(np.max(change, initial=0.0)))
+    resolved = b.energies < b.edge
+    change = np.where(a.energies < a.edge, _change(a, b), math.inf)[resolved]
+    return (-int(resolved.sum()), float(np.max(change, initial=0.0)))
 
 
 def spectral_bound_states(
@@ -409,25 +414,33 @@ def spectral_bound_states(
 ) -> list[EigenPair]:
     """Lowest `count` eigenpairs of -psi'' + V psi = E psi by a spectral basis.
 
-    walls = (wall_lo, wall_hi) says which ends of interval are walls of V.
-    An end is False (no wall), True (a wall where psi ~ d^s with s the larger
-    root of s (s - 1) = lim d^2 V) or a float s > 0, the exponent of psi at
-    that wall: a superpotential W ~ -+s/d there gives it, and with s < 1/2 it
+    walls = (wall_lo, wall_hi) says what each end of interval is. An end is
+    False (closed: psi = 0 there, the wall of a box), None (open: the domain
+    goes on past it), True (a wall where psi ~ d^s with s the larger root of
+    s (s - 1) = lim d^2 V) or a float s > 0, the exponent of psi at that
+    wall: a superpotential W ~ -+s/d there gives it, and with s < 1/2 it
     selects the extension of its ground state exp(-int W). The bases:
-    - no wall: sine DVR with Dirichlet walls at both ends of interval;
+    - no wall: sine DVR on the sinh map x = x_c + a sinh(s/a). V sampled on
+      interval places it: x_c is the centre where the samples are
+      mirror-symmetric (an even V keeps its parity blocks), else their
+      minimum, and a = 2 (2/V''(min))^(1/4), twice the oscillator length of
+      the well, or a = inf (uniform nodes) where V'' <= 0 there, as for a
+      flat V; so V = 0 on (0, pi) with closed ends is the uniform box with
+      E = n^2. At an open end the nodes reach x_c -+ 3000, or stop at the
+      interval's end where V there is not finite or above 1e6;
     - one wall: Lagrange-Laguerre mesh on the half line from that wall, whose
-      scales the interval length sets;
+      scales the interval length sets; its far end is always open;
     - two walls: Lagrange-Jacobi mesh on interval.
-    N doubles from 16 (or the first power of two >= count) until every level
-    the basis resolves moves by at most SPECTRAL_TOL * max(1, |E|) between N/2
-    and N. It stops early, with a warning, at SPECTRAL_CAP or at the rounding
-    floor: once a change below ROUNDING_FLOOR grows at the next doubling. At
-    the floor it returns the N/2 solve, the better of the two, with its
-    change from N/4 as the estimate. Levels above V at the outermost node
-    next to an open end are flagged as not bound; on the half line they are
-    not required to converge. A bound state of the box still above 1e-6
-    of its peak at a node next to an end gets a warning. psi is returned on
-    Grid(*interval, n_points), built when first read.
+    N doubles from 16 (or the first power of two >= count) until every bound
+    level moves by at most SPECTRAL_TOL * max(1, |E|) between N/2 and N. It
+    stops early, with a warning, at SPECTRAL_CAP or at the rounding floor:
+    once a change below ROUNDING_FLOOR grows at the next doubling. At the
+    floor it returns the N/2 solve, the better of the two, with its change
+    from N/4 as the estimate. A level at or above V at the outermost node next
+    to an open end is discretized continuum: it is flagged as not bound, gets
+    one warning, and is not required to converge. At closed ends and walls
+    every level is bound. psi is returned on Grid(*interval, n_points),
+    built when first read.
     """
     lo, hi = float(interval[0]), float(interval[1])
     if count < 1:
@@ -443,7 +456,7 @@ def spectral_bound_states(
     elif wall_lo or wall_hi:
         basis = _LaguerreMesh(v, lo, hi, walls)
     else:
-        basis = _SineDVR(lo, hi)
+        basis = _SineDVR(v, lo, hi, walls)
     prev = basis.levels(v, n, count)
     last = math.inf
     while True:
@@ -471,12 +484,8 @@ def spectral_bound_states(
         sign = _flip_sign(lv.values[:, i])
         values = sign * lv.values[:, i]
         bound = bool(lv.energies[i] < lv.edge)
-        if bound and not (wall_lo or wall_hi):
-            edge_amp = max(abs(values[0]), abs(values[-1]))
-            if edge_amp > 1e-6 * np.max(np.abs(values)):
-                warnings.warn(
-                    f"state {i} has edge amplitude {edge_amp:.2e}; widen the box", stacklevel=2
-                )
+        if not bound:
+            warnings.warn(f"state {i} is not below V = {lv.edge:.6g} at the far node: not bound", stacklevel=2)
 
         def build(coef=sign * lv.coef[:, i], psi=lv.psi):
             return SampledFunction(grid, psi(coef, grid))

@@ -85,6 +85,77 @@ def test_numeric_agreement_all_entries():
 
 
 
+WHOLE_LINE = [name for name in CATALOG_NAMES if math.isinf(sip_lookup(name).domain[0])]
+
+
+def test_whole_line_draws_of_ten_seeds_and_the_held_out_ones():
+    # the sinh-mapped sine DVR reaches 3000 past each open end: no box cuts a
+    # weakly bound top level off (26 of these draws missed 1e-5 on the box)
+    from susyqm.selfcheck import _random_params
+
+    assert WHOLE_LINE == ["shifted_oscillator", "morse", "scarf2", "rosen_morse2"]
+    checked = 0
+    for seed in [*range(1, 11), 901, 902, 903]:
+        rng = np.random.default_rng(seed)
+        draws = {name: [_random_params(name, rng) for _ in range(4)] for name in CATALOG_NAMES}
+        for name in WHOLE_LINE:
+            for params in draws[name]:
+                entry = sip_lookup(name, check_residual=False, **params)
+                count = 6 if entry.n_bound is None else min(entry.n_bound, 6)
+                spec, _ = sip_spectrum(entry, count - 1)
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    levels = numeric_levels(entry, count)
+                for n, (pair, e_closed) in enumerate(zip(levels, spec)):
+                    assert pair.energy == pytest.approx(e_closed, abs=1e-8), (seed, name, params, n)
+                    assert pair.nodes == n and pair.bound
+                checked += 1
+    assert checked == 13 * 16
+
+
+def test_a_level_above_the_far_node_is_flagged_not_bound():
+    # Morse A = 3, alpha = 1 has 3 bound states below lim V = 9; the fourth
+    # level is discretized continuum, at or above V at the far node
+    entry = sip_lookup("morse")
+    spec, _ = sip_spectrum(entry, entry.n_bound)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        levels = numeric_levels(entry, entry.n_bound + 1)
+    assert [p.bound for p in levels] == [True] * entry.n_bound + [False]
+    assert levels[-1].energy >= entry.v1(np.array([3000.0]))[0]
+    assert [p.energy for p in levels[:-1]] == pytest.approx(spec, abs=1e-8)
+    messages = [str(w.message) for w in caught]
+    assert messages == [f"state {entry.n_bound} is not below V = 9 at the far node: not bound"], messages
+
+
+def test_an_even_well_keeps_the_parity_blocks(monkeypatch):
+    # sech^2 with B = 3 is even about the centre of its box: the engine solves
+    # blocks of half the basis size, never the full matrix
+    import susyqm.spectral as spectral
+
+    basis, matrix = [], []
+    levels, eigh = spectral._SineDVR.levels, spectral._eigh_lowest
+    monkeypatch.setattr(
+        spectral._SineDVR, "levels", lambda self, v, n, count: basis.append(n) or levels(self, v, n, count)
+    )
+    monkeypatch.setattr(spectral, "_eigh_lowest", lambda h, count: matrix.append(h.shape[0]) or eigh(h, count))
+    entry = sip_lookup("sech2", B=3.0)
+    spec, _ = sip_spectrum(entry, 2)
+    assert [p.energy for p in numeric_levels(entry, 3)] == pytest.approx(spec, abs=1e-10)
+    assert max(matrix) == max(basis) // 2
+
+
+@pytest.mark.parametrize("b", [2.0, 3.0])
+def test_sech2_ground_state_on_the_box_grid(b):
+    # psi_0 = sech^B x / sqrt(int sech^2B), int sech^2B = sqrt(pi) Gamma(B) / Gamma(B + 1/2),
+    # built by direct sums at s(x) on Grid(*box, 4001)
+    entry = sip_lookup("sech2", B=b)
+    ground = numeric_levels(entry, 1)[0].psi
+    assert ground.grid == Grid(*entry.box, 4001)
+    norm = math.sqrt(math.sqrt(math.pi) * math.gamma(b) / math.gamma(b + 0.5))
+    assert np.max(np.abs(ground.values - np.cosh(ground.x) ** -b / norm)) <= 1e-8
+
+
 ALL_ENTRIES = [*CATALOG_NAMES, "sech2"]
 
 
@@ -98,10 +169,14 @@ def test_spectral_dispatch_covers_every_entry(monkeypatch):
     for name in ALL_ENTRIES:
         entry = sip_lookup(name)
         numeric_levels(entry, 2)
-        # a wall end carries the exponent s read off W, an open end False
+        # a wall end carries the exponent s read off W, an end where the
+        # domain goes on None (open), and a finite end with no wall False
         walls = calls.pop()
-        assert [w is not False for w in walls] == [entry.wall_lo, entry.wall_hi], name
-        assert all(isinstance(w, float) and w > 0 for w in walls if w is not False), name
+        for w, on, end in zip(walls, (entry.wall_lo, entry.wall_hi), entry.domain):
+            if on:
+                assert isinstance(w, float) and w > 0, name
+            else:
+                assert w is (None if math.isinf(end) else False), name
     assert len(ALL_ENTRIES) == 11
 
 

@@ -127,7 +127,9 @@ def test_the_cascade_matches_bisection_on_the_benchmark_solves(monkeypatch):
 def test_a_level_the_coarse_grids_miss_falls_back_to_bisection():
     # the wells are 0.003 wide: the coarse grids see only the oscillator, whose
     # levels RQI refines to -0.068 twice, missing 1.161, until the residual
-    # intervals refuse two levels on one eigenvalue; the 2001-point grid is bisected
+    # intervals refuse two levels on one eigenvalue; the 2001-point grid is
+    # bisected, and as their vectors are parallel (a missed level, not a
+    # split below the intervals), RQI goes on from it on the finer grids
     def wells(x):
         return x**2 / 2 - 300 * (np.exp(-(((x - 1.0003) / 0.003) ** 2)) + np.exp(-(((x + 2.0007) / 0.003) ** 2)))
 
@@ -143,14 +145,19 @@ def test_a_deep_level_the_coarse_grids_miss_fails_the_sturm_count():
     assert _assert_matches_bisection(v, 3) == [64, 16]
 
 
-@pytest.mark.parametrize("depth, bisected", [(60.0, [64]), (100.0, [64, 4, 2, 1])])
-def test_a_near_degenerate_double_well(depth, bisected):
+@pytest.mark.parametrize("depth, bisected", [(60.0, [64]), (100.0, [64, 1])])
+def test_a_near_degenerate_double_well(monkeypatch, depth, bisected):
     # depth (x^2 - 4)^2 / 16 on (-6, 6): the two lowest levels split by 2e-7
     # (certified by RQI) and by 1.2e-9, below the residual intervals from the
-    # 4001-point grid on, where each grid is bisected. The vectors of such a
-    # pair are defined only to about eps |T| / split, by any solver
+    # 4001-point grid on. From that grid on no RQI runs: the 4001 and
+    # 8001-point grids are bisected for their eigenvalues only, and the
+    # finest with its vectors. The vectors of such a pair are defined only to
+    # about eps |T| / split, by any solver
+    rqi, grids = eigensolver._rqi, []
+    monkeypatch.setattr(eigensolver, "_rqi", lambda v, *args: grids.append(v.size) or rqi(v, *args))
     v = sample(lambda x: depth * (x**2 - 4) ** 2 / 16, Grid(-6.0, 6.0, 16001))
     assert _assert_matches_bisection(v, 4, vectors=False) == bisected
+    assert grids == sorted(grids) and grids[-1] == {60.0: 16001, 100.0: 4001}[depth]
 
 
 def test_the_cascade_peaks_below_the_bisection_route():
@@ -252,6 +259,9 @@ def test_spectral_non_finite_potential_raises(half_line):
 
     with pytest.raises(SolverError, match="not finite"):
         spectral_bound_states(v, (0.0 if half_line else -5.0, 5.0), 2, walls=(half_line, False))
+    # a V that is NaN everywhere, also at the samples that place the sinh map
+    with pytest.raises(SolverError, match="not finite"):
+        spectral_bound_states(lambda x: np.full_like(x, np.nan), (0.0, 5.0), 2, walls=(half_line, None))
     assert issubclass(SolverError, _NUMERIC_ERRORS)
 
 
@@ -358,7 +368,7 @@ def _scripted_basis(energies: dict):
         def levels(self, v, n, count):
             one = np.ones((n, 1)) / math.sqrt(n)
             flat = lambda coef, grid: np.zeros(grid.n_points)
-            return [spectral._Levels(np.array([energies[n]]), one, one, math.inf, np.ones(1, bool), flat)]
+            return [spectral._Levels(np.array([energies[n]]), one, one, math.inf, flat)]
 
     return Scripted
 
