@@ -91,22 +91,38 @@ def classify_pair(
 ) -> tuple[str, Optional[float]]:
     """Numeric classifier: is V2 a shift or a reflected shift of V1?
 
-    Scans n_shifts translations per period (and the same with reflection) and
-    reports ("translation", s), ("reflection", s) or ("neither", None). A
-    pair that is both (V2 = V1(x + s) = V1(s' - x)) is a translation, whichever
-    fits closer by rounding. A sampling test, not a proof.
+    Tests n_shifts translations per period (and the same with reflection) and
+    reports ("translation", s), ("reflection", s) or ("neither", None), s
+    being the first shift whose samples fit closest in the max norm, within
+    tol times max(1, max|V2|). A pair that is both (V2 = V1(x + s) =
+    V1(s' - x)) is a translation. One circular FFT correlation per kind gives
+    every shift's misfit sum (V1 shifted - V2)^2; a shift that passes the
+    max-norm test has a misfit at most n_shifts (tol scale)^2, so only the
+    shifts within that, plus an FFT rounding slack, are tested in the max
+    norm. A sampling test, not a proof.
     """
-    x = np.linspace(0.0, period, n_shifts, endpoint=False)
+    n = n_shifts
+    x = np.linspace(0.0, period, n, endpoint=False)
     t1 = np.asarray(v1(x), dtype=float)
     t2 = np.asarray(v2(x), dtype=float)
     t1r = np.roll(t1[::-1], 1)  # v1(-x) on the same cyclic grid
     scale = max(1.0, float(np.max(np.abs(t2))))
-    # grid-aligned shifts make v1(+-x + s) an index roll of the samples
-    for kind, base, step in (("translation", t1, -1), ("reflection", t1r, 1)):
-        dev = [float(np.max(np.abs(np.roll(base, step * j) - t2))) for j in range(n_shifts)]
-        j = int(np.argmin(dev))
-        if dev[j] <= tol * scale:
-            return kind, j * period / n_shifts
+    sumsq = float(t1 @ t1 + t2 @ t2)
+    # the FFT's rounding in a misfit stays below about eps log2(n) sumsq
+    bound = n * (tol * scale) ** 2 + 8 * n * np.finfo(float).eps * sumsq
+    f1, f2 = np.fft.rfft(t1), np.fft.rfft(t2)
+    # grid-aligned shifts make v1(+-x + s) an index roll of the samples; sum_i t1[i + j] t2[i]
+    # is a correlation, and sum_i t1[j - i] t2[i] (the reflection) a convolution
+    for kind, base, step, cross in (
+        ("translation", t1, -1, f1 * f2.conj()),
+        ("reflection", t1r, 1, f1 * f2),
+    ):
+        misfit = sumsq - 2.0 * np.fft.irfft(cross, n)
+        candidates = np.flatnonzero(misfit <= bound).tolist()
+        dev = {j: float(np.max(np.abs(np.roll(base, step * j) - t2))) for j in candidates}
+        j = min(dev, key=dev.get, default=None)  # the first of the closest, as argmin
+        if j is not None and dev[j] <= tol * scale:
+            return kind, j * period / n
     return "neither", None
 
 
@@ -213,20 +229,24 @@ def lame_partner(spec: LameSpec) -> tuple[Callable, Callable, Callable]:
     if floor <= 0:
         raise PeriodicError("ground-state polynomial is not strictly positive")
 
+    def parts(x):
+        """(psi0, W, V1) from one sn, cn, dn evaluation."""
+        sn, cn, dn = (np.asarray(t) for t in jacobi_sn_cn_dn(np.asarray(x, dtype=float), m))
+        psi = 1.0 + m + d - 3.0 * m * sn**2
+        return psi, 6.0 * m * sn * cn * dn / psi, shift + 6.0 * m * sn**2
+
     def psi0(x):
-        sn, _, _ = jacobi_sn_cn_dn(np.asarray(x, dtype=float), m)
-        return 1.0 + m + d - 3.0 * m * np.asarray(sn) ** 2
+        return parts(x)[0]
 
     def v1(x):
-        sn, _, _ = jacobi_sn_cn_dn(np.asarray(x, dtype=float), m)
-        return shift + 6.0 * m * np.asarray(sn) ** 2
+        return parts(x)[2]
 
     def w(x):
-        sn, cn, dn = jacobi_sn_cn_dn(np.asarray(x, dtype=float), m)
-        return 6.0 * m * np.asarray(sn) * np.asarray(cn) * np.asarray(dn) / psi0(x)
+        return parts(x)[1]
 
     def v2(x):
-        return 2.0 * np.asarray(w(x)) ** 2 - np.asarray(v1(x))
+        _, wx, v1x = parts(x)
+        return 2.0 * wx**2 - v1x
 
     v1.psi0 = psi0  # expose the analytic zero mode for residual checks
     return v1, w, v2
@@ -235,22 +255,15 @@ def lame_partner(spec: LameSpec) -> tuple[Callable, Callable, Callable]:
 def numeric_band_edges(
     v: Callable, period: float, count: int, n_points: int = 1201
 ) -> list[BandEdge]:
-    """The lowest `count` band edges of V, tagged; see band_edge_states."""
-    return [edge for edge, _ in band_edge_states(v, period, count, n_points)]
-
-
-def band_edge_states(
-    v: Callable, period: float, count: int, n_points: int = 1201
-) -> list[tuple[BandEdge, EigenPair]]:
-    """The lowest `count` band edges of -psi'' + V psi with their Bloch eigenvectors.
+    """The lowest `count` band edges of -psi'' + V psi, tagged.
 
     Fourier-Floquet-Hill method (Deconinck & Kutz, J. Comput. Phys. 219
     (2006) 296): one FFT of V's n = n_points - 1 unique samples over a period
     gives its harmonics, and the Hill matrix is diagonalized in the real
     cos/sin basis of the periodic (kL = 0, tag "L") and antiperiodic
     (kL = pi, tag "2L") sectors. The sorted union is tagged by the
-    oscillation theorem; each edge carries its eigenvector synthesized on the
-    grid and that vector's node count.
+    oscillation theorem, and an edge from the other sector raises
+    PeriodicError. band_edge_states adds each edge's eigenvector.
 
     A sector keeps N = min(n // 4, 2 j + count // 2 + 10) harmonics, j being
     the last harmonic of V above 1e-15 of the largest; n // 4 is the most for
@@ -259,6 +272,26 @@ def band_edge_states(
     V's harmonics have not decayed (a step, say), the edges converge only
     algebraically in n_points, and a RuntimeWarning says so.
     """
+    return [edge for edge, _, _ in _hill_edges(v, period, count, n_points)[1]]
+
+
+def band_edge_states(
+    v: Callable, period: float, count: int, n_points: int = 1201
+) -> list[tuple[BandEdge, EigenPair]]:
+    """numeric_band_edges' edges, each with its Bloch eigenvector and node count.
+
+    The eigenvector is synthesized on the n_points grid over one period from
+    the Hill solve's own coefficients, so the edges are exactly those of
+    numeric_band_edges.
+    """
+    grid, edges = _hill_edges(v, period, count, n_points)
+    return [(edge, _bloch_state(grid, edge, f, coef)) for edge, f, coef in edges]
+
+
+def _hill_edges(
+    v: Callable, period: float, count: int, n_points: int
+) -> tuple[Grid, list[tuple[BandEdge, np.ndarray, np.ndarray]]]:
+    """The sample grid and the tagged edges, each with its basis frequencies and coefficients."""
     grid = Grid(0.0, period, n_points)
     vals = sample(v, grid).values
     if abs(vals[0] - vals[-1]) > 1e-8 * (1 + abs(vals[0])):
@@ -275,7 +308,7 @@ def band_edge_states(
             f"the harmonics of V have not decayed within the {modes} that {n_points} "
             "samples resolve; band edges converge only algebraically in n_points",
             RuntimeWarning,
-            stacklevel=2,
+            stacklevel=3,
         )
     levels = []
     for tag, cos_f, sin_f in (
@@ -306,14 +339,20 @@ def band_edge_states(
                 f"band edge at E={e:.6f} came from the {tag} sector but the "
                 f"oscillation theorem expects {edge.period_tag}; widen the grid"
             )
-        # one inverse FFT over two periods, where every basis frequency f is whole
-        z = np.zeros(2 * n, dtype=complex)
-        np.add.at(z, f, coef)
-        psi = math.sqrt(8.0 / period) * n * np.fft.ifft(z)[: n + 1].real
-        psi *= _flip_sign(psi)
-        nodes = _cyclic_nodes(psi[:-1], 1.0 if tag == "L" else -1.0)
-        out.append((edge, EigenPair(edge.energy, SampledFunction(grid, psi), nodes)))
-    return out
+        out.append((edge, f, coef))
+    return grid, out
+
+
+def _bloch_state(grid: Grid, edge: BandEdge, f: np.ndarray, coef: np.ndarray) -> EigenPair:
+    """The edge's eigenvector sum coef * basis(f) on the grid, sign-fixed, with its nodes."""
+    n, period = grid.n_points - 1, grid.x_max - grid.x_min
+    # one inverse FFT over two periods, where every basis frequency f is whole
+    z = np.zeros(2 * n, dtype=complex)
+    np.add.at(z, f, coef)
+    psi = math.sqrt(8.0 / period) * n * np.fft.ifft(z)[: n + 1].real
+    psi *= _flip_sign(psi)
+    nodes = _cyclic_nodes(psi[:-1], 1.0 if edge.period_tag == "L" else -1.0)
+    return EigenPair(edge.energy, SampledFunction(grid, psi), nodes)
 
 
 def _cyclic_nodes(psi: np.ndarray, sign: float) -> int:

@@ -53,6 +53,7 @@ class CheckResult:
     passed: bool
     detail: str
     seconds: float = math.nan  # wall time of the check, set by run_all
+    warnings: tuple[str, ...] = ()  # the distinct messages it warned, set by run_all
 
 
 def _result(name: str, passed: bool, detail: str) -> CheckResult:
@@ -354,14 +355,21 @@ ALL_CHECKS = [
 
 
 def run_all(verbose_print=None) -> list[CheckResult]:
-    """Run every check in suite order, each timed with perf_counter."""
+    """Run every check in suite order, each timed with perf_counter.
+
+    A check's warnings are recorded on its result, not shown: the verbose
+    line is the check's only printed output.
+    """
     results = []
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        for fn in ALL_CHECKS:
+    for fn in ALL_CHECKS:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
             start = time.perf_counter()
-            res = replace(fn(), seconds=time.perf_counter() - start)
-            results.append(res)
-            if verbose_print is not None:
-                verbose_print(f"{'PASS' if res.passed else 'FAIL'}  {res.name}: {res.detail}")
+            res = fn()
+            seconds = time.perf_counter() - start
+        messages = tuple(dict.fromkeys(str(w.message) for w in caught))
+        res = replace(res, seconds=seconds, warnings=messages)
+        results.append(res)
+        if verbose_print is not None:
+            verbose_print(f"{'PASS' if res.passed else 'FAIL'}  {res.name}: {res.detail}")
     return results

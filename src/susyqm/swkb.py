@@ -12,11 +12,14 @@ converges spectrally. The turning points and the level energy are both
 found with Brent's zero finder (R. P. Brent, Algorithms for Minimization
 without Derivatives, 1973), a pure-Python port of `scipy.optimize.brentq`,
 step for step, so the levels are bit for bit those of scipy while the module
-loads no scipy. The SWKB V1 ground level needs no search in E: at E = 0 the
-turning points meet at the zero x0 of W, so E0 = W(x0)^2, which is 0 up to
-roundoff (Comtet, Bandrauk & Campbell, Phys. Lett. B 150 (1985) 159). SWKB
-reproduces the exact spectrum for every shape-invariant entry; ordinary WKB
-is exact only for the oscillator and Morse wells.
+loads no scipy. A problem keeps its scan of the well and every S(E) its
+levels have needed, so the bracket ends that levels share are integrated
+once, and each turning-point search starts from the scan's own values at
+its cell's two nodes. The SWKB V1 ground level needs no search in E: at
+E = 0 the turning points meet at the zero x0 of W, so E0 = W(x0)^2, which
+is 0 up to roundoff (Comtet, Bandrauk & Campbell, Phys. Lett. B 150 (1985)
+159). SWKB reproduces the exact spectrum for every shape-invariant entry;
+ordinary WKB is exact only for the oscillator and Morse wells.
 """
 
 from __future__ import annotations
@@ -45,14 +48,23 @@ class QuantizeError(ValueError):
 _RTOL = 4.0 * np.finfo(float).eps
 
 
-def _brentq(f: Callable[[float], float], a: float, b: float, xtol: float, maxiter: int = 100) -> float:
+def _brentq(
+    f: Callable[[float], float],
+    a: float,
+    b: float,
+    xtol: float,
+    maxiter: int = 100,
+    ends: tuple[float, float] | None = None,
+) -> float:
     """A root of f in [a, b] by Brent's method: scipy's C brentq, step for step.
 
     xpre is the previous iterate, xcur the current one and xblk the contrapoint
     whose f has the opposite sign; spre and scur are the last two steps. An
     inverse quadratic (or secant) step is taken while it is short enough,
-    else the bracket is bisected. Raises QuantizeError where scipy raises:
-    f(a) and f(b) of one sign, a NaN value, or no convergence in maxiter steps.
+    else the bracket is bisected. ends, when given, are the known f(a) and
+    f(b), which are then not evaluated again. Raises QuantizeError where scipy
+    raises: f(a) and f(b) of one sign, a NaN value, or no convergence in
+    maxiter steps.
     """
 
     def call(x):
@@ -63,7 +75,7 @@ def _brentq(f: Callable[[float], float], a: float, b: float, xtol: float, maxite
 
     xpre, xcur = float(a), float(b)
     xblk = fblk = spre = scur = 0.0
-    fpre, fcur = call(xpre), call(xcur)
+    fpre, fcur = (call(xpre), call(xcur)) if ends is None else (float(ends[0]), float(ends[1]))
     if fpre == 0:
         return xpre
     if fcur == 0:
@@ -134,6 +146,11 @@ class QuantizationProblem:
         xs = np.linspace(*self.window, _N_SCAN + 1)
         return xs, self.well(xs)
 
+    @cached_property
+    def actions(self) -> dict[float, float]:
+        """S(E) by E, as quantize has computed it: every level of the problem reads it."""
+        return {}
+
     def target(self, n: int) -> float:
         if n < 0:
             raise QuantizeError("level index must be non-negative")
@@ -160,9 +177,16 @@ def _sine_gauss_rule(n_quad: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def turning_points(problem: QuantizationProblem, energy: float) -> tuple[float, float]:
-    """The two roots of E - U(x) on the window, refined by Brent's method to 1e-14."""
+    """The two roots of E - U(x) on the window, refined by Brent's method to 1e-14.
+
+    The problem's scan locates them: a node where E - U is 0, or a cell
+    (x_i, x_i+1) where it changes sign. Brent's method on a cell starts from
+    the scan's values at its ends, so it brackets exactly the sign change the
+    scan saw and evaluates U only inside the cell.
+    """
     xs, u = problem.scan
-    s = np.sign(energy - u)
+    gaps = energy - u
+    s = np.sign(gaps)
     on_node = np.flatnonzero(s == 0.0)
     flips = np.flatnonzero(s[:-1] * s[1:] < 0)
     found = on_node.size + flips.size
@@ -177,7 +201,7 @@ def turning_points(problem: QuantizationProblem, energy: float) -> tuple[float, 
     # a root on node i precedes the crossing in (x_i, x_i+1)
     order = np.argsort(np.concatenate([on_node, flips + 0.5]))
     roots = [xs[i] for i in on_node]
-    roots += [_brentq(gap, xs[i], xs[i + 1], xtol=1e-14) for i in flips]
+    roots += [_brentq(gap, xs[i], xs[i + 1], 1e-14, ends=(gaps[i], gaps[i + 1])) for i in flips]
     a, b = (float(roots[k]) for k in order)
     return a, b
 
@@ -194,30 +218,17 @@ def action_integral(problem: QuantizationProblem, energy: float) -> float:
     return halfw * float(weights @ np.sqrt(np.maximum(integrand, 0.0)))
 
 
-def boundary_phase(problem: QuantizationProblem, energy: float) -> float:
-    """The arcsin boundary term of the O(hbar) correction for SWKB modes.
-
-    (hbar/2) [arcsin(W/sqrt(E))] from a to b; equals hbar*pi/2 exactly when
-    W has opposite signs at the turning points (unbroken SUSY).
-    """
-    if problem.mode is Mode.WKB:
-        raise QuantizeError("the boundary phase belongs to the SWKB modes")
-    a, b = turning_points(problem, energy)
-    s = math.sqrt(energy)
-    wa = float(problem.profile(np.array(a)))
-    wb = float(problem.profile(np.array(b)))
-    clip = lambda z: min(1.0, max(-1.0, z / s))
-    return 0.5 * problem.hbar * (math.asin(clip(wb)) - math.asin(clip(wa)))
-
-
 def quantize(problem: QuantizationProblem, n: int) -> float:
     """Energy of level n: root of S(E) = target by Brent's method in E, to 1e-13.
 
     The bracket starts at the well minimum, where S = 0, and its upper end
-    grows geometrically until S reaches the target. The SWKB V1 ground level
-    (target 0) is W(x0)^2 at the zero x0 of W, found by Brent's method on W
-    between the scan nodes either side of min W^2; a W that keeps one sign
-    there (broken SUSY) has no such level and raises QuantizeError.
+    grows geometrically until S reaches the target. S(E) is read through
+    problem.actions, so the ends the growth loop tries for one level, which
+    recur for every level above it, are integrated once per problem. The
+    SWKB V1 ground level (target 0) is W(x0)^2 at the zero x0 of W, found by
+    Brent's method on W between the scan nodes either side of min W^2; a W
+    that keeps one sign there (broken SUSY) has no such level and raises
+    QuantizeError.
     """
     target = problem.target(n)
     xs, wvals = problem.scan
@@ -231,9 +242,12 @@ def quantize(problem: QuantizationProblem, n: int) -> float:
             raise QuantizeError("SWKB's n = 0 level needs W to change sign (unbroken SUSY)")
         return float(problem.well(_brentq(w, lo_b, hi_b, xtol=1e-14)))
 
-    @lru_cache(maxsize=None)  # Brent re-evaluates the bracket end the growth loop just tried
+    actions = problem.actions
+
     def f(e):
-        return action_integral(problem, e) - target
+        if e not in actions:
+            actions[e] = action_integral(problem, e)
+        return actions[e] - target
 
     cap = edge - 1e-9 * max(1.0, abs(edge))
     hi = min(well_min + max(1.0, abs(well_min)), cap)

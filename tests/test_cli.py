@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -394,11 +395,47 @@ def test_check_json_envelope(capsys):
     checks = envelope["outputs"]["checks"]
     assert len(checks) == len(ALL_CHECKS)
     for check in checks:
-        assert set(check) == {"name", "passed", "detail", "seconds"}
+        assert set(check) == {"name", "passed", "detail", "seconds", "warnings"}
         assert check["passed"] is True and check["detail"]
+        assert check["warnings"] == []
         assert 0.0 < check["seconds"] < 60.0
     assert envelope["inputs"]["subcommand"] == "check"
     assert envelope["diagnostics"]["seconds"] == pytest.approx(sum(c["seconds"] for c in checks))
+
+
+def warning_checks():
+    from susyqm.selfcheck import CheckResult
+
+    def noisy():
+        for message in ("levels still move", "edge amplitude 1e-3", "levels still move"):
+            warnings.warn(message, RuntimeWarning)
+        return CheckResult("noisy", True, "warned three times")
+
+    def quiet():
+        return CheckResult("quiet", True, "no warning")
+
+    return [noisy, quiet]
+
+
+def test_check_json_reports_each_checks_warnings(capsys, monkeypatch):
+    from susyqm import selfcheck
+
+    monkeypatch.setattr(selfcheck, "ALL_CHECKS", warning_checks())
+    assert main(["check", "--format", "json"]) == 0
+    captured = capsys.readouterr()
+    checks = json.loads(captured.out)["outputs"]["checks"]
+    assert [c["warnings"] for c in checks] == [["levels still move", "edge amplitude 1e-3"], []]
+    assert captured.err == ""
+
+
+def test_check_text_mode_keeps_warnings_off_stderr(capsys, monkeypatch):
+    from susyqm import selfcheck
+
+    monkeypatch.setattr(selfcheck, "ALL_CHECKS", warning_checks())
+    assert main(["check"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == "PASS  noisy: warned three times\nPASS  quiet: no warning\n"
+    assert captured.err == ""
 
 
 def test_check_output_file(tmp_path, capsys):

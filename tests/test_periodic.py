@@ -233,3 +233,106 @@ def test_lame_spec_validation():
         LameSpec(1, 1.5)
     with pytest.raises(PeriodicError):
         LameSpec(0, 0.5)
+
+
+def classify_by_rolls(v1, v2, period, n_shifts=1000, tol=1e-8):
+    """classify_pair by the max norm of every one of the 2 n_shifts rolls: the reference."""
+    x = np.linspace(0.0, period, n_shifts, endpoint=False)
+    t1 = np.asarray(v1(x), dtype=float)
+    t2 = np.asarray(v2(x), dtype=float)
+    t1r = np.roll(t1[::-1], 1)
+    scale = max(1.0, float(np.max(np.abs(t2))))
+    for kind, base, step in (("translation", t1, -1), ("reflection", t1r, 1)):
+        dev = [float(np.max(np.abs(np.roll(base, step * j) - t2))) for j in range(n_shifts)]
+        j = int(np.argmin(dev))
+        if dev[j] <= tol * scale:
+            return kind, j * period / n_shifts
+    return "neither", None
+
+
+def pair_cases():
+    two_pi = 2 * math.pi
+    spec = LameSpec(2, 0.5)
+    v1, _, v2 = lame_partner(spec)
+
+    def skew(x):  # neither even about any point nor a translate of its reflection
+        return np.exp(np.sin(x) + 0.5 * np.sin(2 * x))
+
+    def even(x):
+        return np.cos(x) + 0.5 * np.cos(2 * x)
+
+    def half_period(x):  # period L/2: the shifts s and s + L/2 fit exactly
+        return np.exp(np.sin(2 * x))
+
+    return {
+        "lame-partner": (v1, v2, spec.period),
+        "translation": (skew, lambda x: skew(x + 0.35 * two_pi), two_pi),
+        "translation-large": (lambda x: 1e6 * skew(x), lambda x: 1e6 * skew(x + 0.5 * two_pi), two_pi),
+        "reflection": (skew, lambda x: skew(0.3 * two_pi - x), two_pi),
+        "both": (even, lambda x: even(x + 0.1 * two_pi), two_pi),
+        "half-period": (half_period, lambda x: half_period(x + 0.2 * two_pi), two_pi),
+        "neither": (np.sin, lambda x: np.sin(x) ** 3, two_pi),
+        "near-constant": (lambda x: 1 + 1e-10 * np.sin(x), lambda x: 1 + 1e-10 * np.sin(x + 1.0), two_pi),
+        # every shift is within tol, but no misfit is zero to rounding: the tol term admits them
+        "tiny-off-grid": (lambda x: 1e-9 * np.sin(x), lambda x: 1e-9 * np.sin(x + 0.123456), two_pi),
+    }
+
+
+@pytest.mark.parametrize("n_shifts", [400, 1000])
+@pytest.mark.parametrize("case", list(pair_cases()))
+def test_classify_pair_matches_every_roll(case, n_shifts):
+    v1, v2, period = pair_cases()[case]
+    kind, shift = classify_pair(v1, v2, period, n_shifts=n_shifts)
+    assert (kind, shift) == classify_by_rolls(v1, v2, period, n_shifts=n_shifts)
+    expected = {"lame-partner": "neither", "neither": "neither", "reflection": "reflection"}
+    assert kind == expected.get(case, "translation")
+
+
+LAME_EDGE_CASES = [(a, m) for a in (1, 2) for m in (0.3, 0.5, 0.8)] + [("partner", 0.5)]
+
+
+@pytest.mark.parametrize("a, m", LAME_EDGE_CASES)
+def test_numeric_band_edges_are_band_edge_states_without_the_states(monkeypatch, a, m):
+    from susyqm import periodic
+
+    if a == "partner":
+        spec = LameSpec(2, m)
+        v, count = lame_partner(spec)[2], 5
+    else:
+        spec = LameSpec(a, m)
+        v, count = lame_potential(spec), 2 * a + 1
+    calls = []
+    synthesize = periodic._bloch_state
+    monkeypatch.setattr(periodic, "_bloch_state", lambda *args: calls.append(1) or synthesize(*args))
+    edges = numeric_band_edges(v, spec.period, count, n_points=801)
+    assert calls == []  # no eigenvector is built for the energies alone
+    states = band_edge_states(v, spec.period, count, n_points=801)
+    assert len(calls) == count
+    assert edges == [edge for edge, _ in states]
+    assert [pair.energy for _, pair in states] == [edge.energy for edge in edges]
+
+
+@pytest.mark.parametrize("solve", [numeric_band_edges, band_edge_states])
+def test_band_edges_too_small_grid_and_rough_warning_reach_every_caller(solve):
+    with pytest.warns(RuntimeWarning) as record, pytest.raises(SolverError, match="count=3"):
+        solve(np.zeros_like, 1.0, 3, n_points=4)
+    assert record[0].filename == __file__  # the warning names the caller's line
+    with pytest.warns(RuntimeWarning, match="converge only algebraically") as record:
+        solve(kronig_penney, 2.0, 5, n_points=1201)
+    assert record[0].filename == __file__
+
+
+def test_lame_partner_evaluates_sn_cn_dn_once_per_call(monkeypatch):
+    from susyqm import periodic
+
+    spec = LameSpec(2, 0.5)
+    v1, w, v2 = lame_partner(spec)
+    x = np.linspace(-3.0 * spec.period, 3.0 * spec.period, 1000)
+    assert np.array_equal(v2(x), 2 * w(x) ** 2 - v1(x))
+    calls = []
+    sn_cn_dn = periodic.jacobi_sn_cn_dn
+    monkeypatch.setattr(periodic, "jacobi_sn_cn_dn", lambda *args: calls.append(1) or sn_cn_dn(*args))
+    for fn in (v1, w, v2, v1.psi0):
+        calls.clear()
+        fn(x)
+        assert len(calls) == 1, fn

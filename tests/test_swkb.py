@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -5,12 +6,12 @@ import pytest
 
 from susyqm.catalog import CATALOG_NAMES, sip_lookup, sip_spectrum
 from susyqm.swkb import (
+    WKB_APPLICABLE,
     Mode,
     QuantizationProblem,
     QuantizeError,
     _brentq,
     action_integral,
-    boundary_phase,
     exactness_audit,
     problem_for_entry,
     quantize,
@@ -77,20 +78,6 @@ def test_wkb_oscillator_exact():
     )
     for n in range(3):
         assert quantize(prob, n) == pytest.approx(2.0 * n, abs=1e-9)
-
-
-def test_boundary_phase_unbroken():
-    # W changes sign across the well: the boundary term is exactly pi/2 * hbar
-    prob = osc_problem()
-    assert boundary_phase(prob, 4.0) == pytest.approx(0.5 * math.pi, abs=1e-9)
-
-
-def test_boundary_phase_rejects_wkb():
-    with pytest.raises(QuantizeError):
-        boundary_phase(
-            QuantizationProblem(Mode.WKB, lambda x: np.asarray(x, float) ** 2, (-5, 5)),
-            1.0,
-        )
 
 
 def test_swkb_exact_for_morse_and_poschl_teller():
@@ -219,3 +206,77 @@ def test_ground_check_reports_broken_susy_as_a_failure(monkeypatch):
     result = selfcheck.check_swkb_ground()
     assert not result.passed
     assert "W to change sign" in result.detail
+
+
+def test_turning_point_search_evaluates_only_inside_its_cell():
+    # the scan's values at the cell ends seed Brent's method, so no scan node is evaluated again
+    scalar_calls = []
+
+    def profile(x):
+        x = np.asarray(x, float)
+        if x.ndim == 0:
+            scalar_calls.append(float(x))
+        return x
+
+    prob = QuantizationProblem(mode=Mode.SWKB_V1, profile=profile, window=(-12.0, 12.0))
+    xs, _ = prob.scan
+    a, b = turning_points(prob, 4.0)
+    assert (a, b) == pytest.approx((-2.0, 2.0), abs=1e-12)
+    assert scalar_calls and not set(scalar_calls) & set(xs.tolist())
+
+
+def levels_on_fresh_problems(monkeypatch, entry, mode, n_max):
+    """Each level on its own new problem, every Brent search by scipy's brentq from scratch.
+
+    scipy evaluates both bracket ends itself, so nothing is shared between
+    levels or taken from the scan: the reference the shared actions and the
+    seeded turning points must reproduce bit for bit. A level that raises
+    QuantizeError reads None.
+    """
+    from scipy.optimize import brentq
+
+    from susyqm import swkb
+
+    with monkeypatch.context() as m:
+        m.setattr(swkb, "_brentq", lambda f, a, b, xtol, ends=None: brentq(f, a, b, xtol=xtol))
+        return [level_or_none(problem_for_entry(entry, mode), n) for n in range(n_max + 1)]
+
+
+def level_or_none(prob, n):
+    try:
+        return quantize(prob, n)
+    except QuantizeError:
+        return None
+
+
+def test_catalog_audit_shares_actions_and_changes_no_level(monkeypatch):
+    from susyqm import swkb
+
+    integrals = []
+    integrate = swkb.action_integral
+    monkeypatch.setattr(swkb, "action_integral", lambda *args: integrals.append(1) or integrate(*args))
+    entries = {name: sip_lookup(name) for name in CATALOG_NAMES}
+    rows = exactness_audit(list(entries.values()), n_max=5)
+    # one S(E) per distinct energy of each problem: the bracket ends shared by n = 1...5 once
+    assert len(integrals) == 251
+    monkeypatch.undo()
+    for (name, mode), group in itertools.groupby(rows, key=lambda r: (r.entry, r.mode)):
+        group = list(group)
+        mode = Mode.SWKB_V1 if mode == "swkb" else Mode.WKB
+        reference = levels_on_fresh_problems(monkeypatch, entries[name], mode, len(group) - 1)
+        assert [r.e_semiclassical for r in group] == reference, (name, mode)
+
+
+def test_seeded_draws_share_actions_and_change_no_level(monkeypatch):
+    from susyqm.selfcheck import _random_params
+
+    rng = np.random.default_rng(16)
+    for name in CATALOG_NAMES:
+        modes = [Mode.SWKB_V1] + ([Mode.WKB] if name in WKB_APPLICABLE else [])
+        for _ in range(3):
+            entry = sip_lookup(name, check_residual=False, **_random_params(name, rng))
+            for mode in modes:
+                prob = problem_for_entry(entry, mode)
+                shared = [level_or_none(prob, n) for n in range(6)]
+                assert shared[0] is not None
+                assert shared == levels_on_fresh_problems(monkeypatch, entry, mode, 5), (name, mode)
