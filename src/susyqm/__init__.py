@@ -5,7 +5,7 @@ catalog of algebraically solvable wells with parameter-shift recursions,
 a tridiagonal bound-state solver, Fourier-Floquet-Hill band edges, reflection/transmission
 recursions checked by an RK4 transfer-matrix propagator, one-parameter
 isospectral deformations, semiclassical quantization with exactness audits,
-and elliptic periodic wells.
+and elliptic periodic wells with their self-isospectral and new partners.
 Run `susyqm check` (or `python -m susyqm.cli check`) for the built-in
 invariant suite.
 """
@@ -27,19 +27,14 @@ from .catalog import (
 )
 from .core import (
     AlgebraReport,
-    GroundStateSide,
     Superpotential,
     SusyError,
-    SusyStatus,
     algebra_check,
     apply_A,
     apply_Adag,
-    detect_breaking,
     ground_state_from_w,
-    map_from_partner,
     map_to_partner,
     normalized,
-    w_from_ground_state,
 )
 from .eigensolver import EigenPair, SolverError, bound_states, bound_states_of
 from .expressions import ExpressionError, compile_expression
@@ -54,12 +49,10 @@ from .periodic import (
     BandEdge,
     LameSpec,
     PeriodicError,
-    PeriodicSuperpotential,
     lame_band_edges,
     lame_partner,
     lame_potential,
     numeric_band_edges,
-    self_isospectral_classify,
 )
 from .scattering import (
     ScatterAmplitudes,
@@ -98,13 +91,11 @@ __all__ = [
     "ExpressionError",
     "Grid",
     "GridError",
-    "GroundStateSide",
     "IsoFamily",
     "IsospectralError",
     "LameSpec",
     "Mode",
     "PeriodicError",
-    "PeriodicSuperpotential",
     "QuantizationProblem",
     "QuantizeError",
     "SampledFunction",
@@ -114,7 +105,6 @@ __all__ = [
     "SolverError",
     "Superpotential",
     "SusyError",
-    "SusyStatus",
     "algebra_check",
     "apply_A",
     "apply_Adag",
@@ -122,7 +112,6 @@ __all__ = [
     "bound_states_of",
     "compile_expression",
     "conserved_charges",
-    "detect_breaking",
     "exactness_audit",
     "ground_state_from_w",
     "hierarchy_potential",
@@ -130,7 +119,6 @@ __all__ = [
     "lame_band_edges",
     "lame_partner",
     "lame_potential",
-    "map_from_partner",
     "map_to_partner",
     "normalized",
     "numeric_band_edges",
@@ -143,12 +131,10 @@ __all__ = [
     "quantize",
     "reflectionless_T",
     "sample",
-    "self_isospectral_classify",
     "shape_invariance_residual",
     "sip_eigenfunction",
     "sip_lookup",
     "sip_spectrum",
     "spectral_bound_states",
-    "w_from_ground_state",
     "well_hierarchy_potential",
 ]

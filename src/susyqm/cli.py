@@ -668,7 +668,9 @@ def _run(argv: Optional[list[str]]) -> int:
         warnings.simplefilter("always")
         try:
             code = _DISPATCH[cfg.subcommand](cfg)
-        except (ConfigError, ExpressionError) as exc:
+        except BrokenPipeError:  # a closed stdout, for main to end quietly
+            raise
+        except (ConfigError, ExpressionError, OSError) as exc:  # OSError: an unwritable output
             print(f"configuration error: {exc}", file=sys.stderr)
             return 2
         except _NUMERIC_ERRORS as exc:  # its one line, without the warnings that led to it

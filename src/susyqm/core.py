@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 from typing import Callable, Optional
 
 import numpy as np
@@ -82,19 +81,6 @@ def _fd_derivative(fn, x):
     return (fn(x - 2 * h) - 8 * fn(x - h) + 8 * fn(x + h) - fn(x + 2 * h)) / (12 * h)
 
 
-class GroundStateSide(Enum):
-    V1 = "V1"
-    V2 = "V2"
-    NEITHER = "neither"
-
-
-@dataclass(frozen=True)
-class SusyStatus:
-    broken: bool
-    ground_state_side: GroundStateSide
-    norm_of_candidate: float
-
-
 def ground_state_from_w(w: Superpotential, grid: Grid) -> SampledFunction:
     """Normalized zero mode psi0 ~ exp(-(1/c) int W) on the given grid.
 
@@ -111,29 +97,6 @@ def ground_state_from_w(w: Superpotential, grid: Grid) -> SampledFunction:
     if not np.isfinite(norm) or norm <= 0:
         raise SusyError("zero-mode candidate has no finite positive norm")
     return SampledFunction(grid, psi / math.sqrt(norm))
-
-
-def w_from_ground_state(
-    psi0: SampledFunction, hbar: float = 1.0, mass2: float = 1.0
-) -> Superpotential:
-    """Recover W = -c psi0'/psi0 from a nodeless ground state."""
-    interior = psi0.values[1:-1]
-    if np.any(interior <= 0):
-        raise SusyError("ground state must be strictly positive in the interior")
-    c = hbar / math.sqrt(mass2)
-    dpsi = derivative(psi0).values
-    wvals = -c * dpsi / np.maximum(psi0.values, 1e-300)
-    x = psi0.x
-
-    def w_interp(xq):
-        return np.interp(xq, x, wvals)
-
-    return Superpotential(
-        w=w_interp,
-        domain=(psi0.grid.x_min, psi0.grid.x_max),
-        hbar=hbar,
-        mass2=mass2,
-    )
 
 
 def apply_A(w: Superpotential, psi: SampledFunction) -> SampledFunction:
@@ -162,15 +125,6 @@ def map_to_partner(
     if energy <= 0:
         raise SusyError("partner mapping needs strictly positive energy")
     return apply_A(w, psi).map(lambda v: v / math.sqrt(energy))
-
-
-def map_from_partner(
-    w: Superpotential, psi: SampledFunction, energy: float
-) -> SampledFunction:
-    """E^{-1/2} Adag psi: inverse mapping, back to the V1 side."""
-    if energy <= 0:
-        raise SusyError("partner mapping needs strictly positive energy")
-    return apply_Adag(w, psi).map(lambda v: v / math.sqrt(energy))
 
 
 # ---------------------------------------------------------------------------
@@ -220,61 +174,4 @@ def algebra_check(w: Superpotential, grid: Grid) -> AlgebraReport:
         zero_mode_residual=abs(float(lam1[0])) / scale,
         partner_residual=float(np.max(np.abs(lam1[1:] - lam2))) / scale,
         discretization_gap=float(np.max(np.abs(lam1[:_GAP_LEVELS] - direct))),
-    )
-
-
-# ---------------------------------------------------------------------------
-# SUSY breaking detection
-# ---------------------------------------------------------------------------
-
-
-def detect_breaking(w: Superpotential) -> SusyStatus:
-    """Classify SUSY as unbroken/broken from zero-mode normalizability.
-
-    Both candidates exp(-+ (1/c) int W) are integrated on the windows of
-    half-width 4, 8, ..., 64 (clipped to the domain) at 200 points per unit;
-    a candidate is normalizable when the last doubling moves its norm by at
-    most 1e-8 relative. Exactly one convergent candidate means unbroken SUSY.
-    """
-    lo, hi = w.domain
-    norms = {+1: [], -1: []}
-    edge_ratio = {+1: math.inf, -1: math.inf}
-    for k in range(5):
-        half = 4.0 * 2**k
-        a = max(lo + 1e-9 * max(1.0, abs(lo)) if np.isfinite(lo) else -half, -half)
-        b = min(hi - 1e-9 * max(1.0, abs(hi)) if np.isfinite(hi) else half, half)
-        if b <= a:
-            raise SusyError("degenerate window while scanning normalizability")
-        n_pts = max(501, int(200 * (b - a)) | 1)
-        grid = Grid(a, b, n_pts)
-        wvals = sample(w.w, grid)
-        exponent = cumulative_integral(wvals).values / w.c
-        for sign in (+1, -1):
-            e = -sign * exponent
-            e = e - e.max()
-            psi2 = np.exp(2.0 * e)
-            norms[sign].append(integrate(SampledFunction(grid, psi2)))
-            edge_ratio[sign] = max(psi2[0], psi2[-1])
-        # norms are relative (max of psi fixed to 1), so a diverging candidate
-        # still shows a finite integral; normalizability additionally demands
-        # that the candidate decays at the window edges instead of peaking there.
-
-    def converged(seq):
-        a, b = seq[-2], seq[-1]
-        return np.isfinite(b) and abs(b - a) <= 1e-8 * max(abs(b), 1e-300)
-
-    def normalizable(sign):
-        return converged(norms[sign]) and edge_ratio[sign] < 1e-6
-
-    conv_plus = normalizable(+1)   # exp(-int W): the V1-side candidate
-    conv_minus = normalizable(-1)  # exp(+int W): the V2-side candidate
-    if conv_plus and not conv_minus:
-        return SusyStatus(False, GroundStateSide.V1, norms[+1][-1])
-    if conv_minus and not conv_plus:
-        return SusyStatus(False, GroundStateSide.V2, norms[-1][-1])
-    if not conv_plus and not conv_minus:
-        return SusyStatus(True, GroundStateSide.NEITHER, math.inf)
-    raise SusyError(
-        "both zero-mode candidates appear normalizable; "
-        "this cannot happen for a genuine superpotential - check the inputs"
     )

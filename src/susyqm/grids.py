@@ -133,16 +133,6 @@ def derivative(f: SampledFunction) -> SampledFunction:
     return SampledFunction(f.grid, d)
 
 
-def second_derivative(f: SampledFunction) -> SampledFunction:
-    """Second derivative via the standard 3-point stencil."""
-    v, h = f.values, f.grid.h
-    d = np.empty_like(v)
-    d[1:-1] = (v[2:] - 2 * v[1:-1] + v[:-2]) / h**2
-    d[0] = d[1]
-    d[-1] = d[-2]
-    return SampledFunction(f.grid, d)
-
-
 def count_nodes(values: np.ndarray) -> int:
     """Interior sign changes, ignoring amplitudes below 1e-8 * max|values|."""
     v = np.asarray(values)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Superpotential, apply_A, ground_state_from_w, normalized
+from .core import Superpotential, ground_state_from_w
 from .grids import Grid, SampledFunction, cumulative_integral, integrate
 
 
@@ -117,36 +117,12 @@ class IsoFamily:
         self._check(lam)
         return self._member(lam)
 
-    def superpotential_values(self, lam: float) -> SampledFunction:
-        """What = W + c psi0^2 / (I + lam); the whole family shares V2 = What^2 + c What'."""
-        self._check(lam)
-        x = self.grid.points
-        wv = np.asarray(self.source.w(x), dtype=float)
-        u = self._u(lam)
-        return SampledFunction(self.grid, wv + self.source.c * self.psi0.values**2 / u)
-
     def ground_state(self, lam: float) -> SampledFunction:
         """psihat0 = sqrt(lam(1+lam)) psi0 / (I + lam); unit norm by construction."""
         self._check(lam)
         u = self._u(lam)
         amp = math.sqrt(lam * (1.0 + lam))
         return SampledFunction(self.grid, amp * self.psi0.values / u)
-
-    def excited_state(
-        self, lam: float, psi_n: SampledFunction, energy: float
-    ) -> SampledFunction:
-        """Deformed bound state from the base state psi_n at the same energy E > 0.
-
-        psihat_n = psi_n + (c/E) (psi0^2 / (I + lam)) (c psi_n' + W psi_n),
-        i.e. the base state corrected by its image under the first-order
-        intertwiner, renormalized on the grid.
-        """
-        self._check(lam)
-        if energy <= 0:
-            raise IsospectralError("excited-state deformation needs E > 0")
-        ratio = self.psi0.values**2 / self._u(lam)
-        vals = psi_n.values + (self.source.c / energy) * ratio * apply_A(self.source, psi_n).values
-        return normalized(SampledFunction(self.grid, vals))
 
 
 def conserved_charges(v: SampledFunction, v_infinity: float) -> tuple[float, float]:

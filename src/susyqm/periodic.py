@@ -1,13 +1,12 @@
-"""Periodic superpotentials: zero modes, self-isospectrality, Lame bands.
+"""Periodic wells: self-isospectral partners and Lame bands.
 
-On a period L the integral phi_L = int_0^L W fixes whether the periodic zero
-modes exp(-+ int W) survive: phi_L = 0 means both partners keep a zero mode
-and their spectra are strictly identical (including the ground edge). Two
-structural classes make the pair *self*-isospectral: W antisymmetric on a
-half period (V2(x) = V1(x + L/2)) and W even (V2(x) = V1(-x)). The Lame
-wells p m sn^2(x, m) with p = a(a+1) supply closed-form band edges for
-a = 1, 2, and for a = 2 a partner potential outside the classical solvable
-lists.
+A periodic W generates partners V1 = W^2 - W' and V2 = W^2 + W' of the same
+period L. The partner is self-isospectral when it is V1 moved: W(x + L/2) =
+-W(x) gives V2(x) = V1(x + L/2), and an even W gives V2(x) = V1(-x) (Dunne &
+Feinberg, Phys. Rev. D 57 (1998) 1271). classify_pair finds such a shift or
+reflection on the samples of V1 and V2. The Lame wells p m sn^2(x, m) with
+p = a(a+1) supply closed-form band edges for a = 1, 2, and for a = 2 a
+partner potential outside the classical solvable lists.
 """
 
 from __future__ import annotations
@@ -19,71 +18,14 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .core import Superpotential
 from .eigensolver import EigenPair, SolverError, _flip_sign
-from .grids import Grid, SampledFunction, integrate, sample
+from .grids import Grid, SampledFunction, sample
 from .scattering import propagate
 from .special import elliptic_K, jacobi_sn_cn_dn
 
 
 class PeriodicError(ValueError):
     pass
-
-
-@dataclass(frozen=True)
-class PeriodicSuperpotential:
-    """Periodic W with its period and the zero-mode phase phi_L = int_0^L W."""
-
-    w: Callable[[np.ndarray], np.ndarray]
-    period: float
-
-    def __post_init__(self):
-        if self.period <= 0:
-            raise PeriodicError("period must be positive")
-        x = np.linspace(0.0, self.period, 257)
-        dev = np.max(np.abs(np.asarray(self.w(x + self.period)) - np.asarray(self.w(x))))
-        if dev > 1e-10 * max(1.0, float(np.max(np.abs(self.w(x))))):
-            raise PeriodicError(f"w is not periodic over {self.period} (dev {dev:.2e})")
-
-    @property
-    def phi_L(self) -> float:
-        g = Grid(0.0, self.period, 2001)
-        return integrate(sample(self.w, g))
-
-    def v1(self, x):
-        return Superpotential(self.w).v1(x)
-
-    def v2(self, x):
-        return Superpotential(self.w).v2(x)
-
-
-def zero_mode_check(w: PeriodicSuperpotential) -> str:
-    """"unbroken" iff phi_L vanishes, so exp(-+ int W) are periodic zero modes."""
-    return "unbroken" if abs(w.phi_L) <= 1e-10 * max(1.0, w.period) else "broken"
-
-
-def self_isospectral_classify(w: PeriodicSuperpotential) -> str:
-    """Structural self-isospectrality of the partner pair generated by W.
-
-    Returns "half-period-antisymmetric" (W(x + L/2) = -W(x), so
-    V2(x) = V1(x + L/2)), "even-reflection" (W(-x) = W(x), so
-    V2(x) = V1(-x)), or "neither". The implied potential identity is
-    verified on samples before either label is returned.
-    """
-    x = np.linspace(0.0, w.period, 1024, endpoint=False)
-    wx = np.asarray(w.w(x), dtype=float)
-    scale = max(1.0, float(np.max(np.abs(wx))))
-    if np.max(np.abs(np.asarray(w.w(x + 0.5 * w.period)) + wx)) <= 1e-9 * scale:
-        dev = np.max(np.abs(w.v2(x) - w.v1(x + 0.5 * w.period)))
-        if dev > 1e-6 * scale**2:
-            raise PeriodicError(f"antisymmetry holds but potentials differ ({dev:.2e})")
-        return "half-period-antisymmetric"
-    if np.max(np.abs(np.asarray(w.w(-x)) - wx)) <= 1e-9 * scale:
-        dev = np.max(np.abs(w.v2(x) - w.v1(-x)))
-        if dev > 1e-6 * scale**2:
-            raise PeriodicError(f"evenness holds but potentials differ ({dev:.2e})")
-        return "even-reflection"
-    return "neither"
 
 
 def classify_pair(

@@ -88,19 +88,6 @@ def partner_rt(
     return r1, t1
 
 
-def partner_phase_shift(w: Superpotential, energy: float, delta2: float) -> float:
-    """Half-line relation: e^{2i delta1} = (W+ - ik')/(W+ + ik') e^{2i delta2}."""
-    wm, wp = _asymptotes(w)
-    _ = wm
-    c2 = w.c**2
-    if energy <= wp**2:
-        raise ScatterError("energy below the half-line threshold")
-    kp = math.sqrt((energy - wp**2) / c2)
-    factor = (wp - 1j * w.c * kp) / (wp + 1j * w.c * kp)
-    s1 = factor * cmath.exp(2j * delta2)
-    return 0.5 * cmath.phase(s1)
-
-
 def reflectionless_T(p: int, k: float) -> complex:
     """Transmission of V = -p(p+1) sech^2 x: prod_{j=1..p} (j - ik)/(-j - ik)."""
     if p < 0:

@@ -33,14 +33,12 @@ from .isospectral import IsoFamily, conserved_charges, pursey_abraham_moses
 from .periodic import (
     LameSpec,
     PeriodicError,
-    PeriodicSuperpotential,
     band_edge_states,
     classify_pair,
     lame_band_edges,
     lame_partner,
     lame_potential,
     numeric_band_edges,
-    self_isospectral_classify,
 )
 from .scattering import numeric_rt_for, reflectionless_T
 from .special import elliptic_K, jacobi_sn_cn_dn
@@ -275,9 +273,12 @@ def check_lame_one() -> CheckResult:
         sn, cn, dn = jacobi_sn_cn_dn(np.asarray(x, dtype=float), m)
         return m * np.asarray(sn) * np.asarray(cn) / np.asarray(dn)
 
-    label = self_isospectral_classify(PeriodicSuperpotential(w_fn, period))
-    passed = worst <= 1e-4 and label == "half-period-antisymmetric"
-    return _result(name, passed, f"max edge dev {worst:.2e}, partner class {label!r}")
+    # W(x + L/2) = -W(x), so the partner is the well moved by half a period; the
+    # shifts tried are period / 1000 apart, and isclose keeps only the half period
+    w = Superpotential(w_fn)
+    label, shift = classify_pair(w.v1, w.v2, period)
+    passed = worst <= 1e-4 and label == "translation" and math.isclose(shift, period / 2)
+    return _result(name, passed, f"max edge dev {worst:.2e}, partner class {label!r} by {shift}")
 
 
 def check_lame_two() -> CheckResult:

@@ -227,6 +227,38 @@ def test_figures(tmp_path, capsys):
         assert (tmp_path / name).exists()
 
 
+_WRITERS = {
+    "partner": ["partner", "--potential", "well", "--params", "L=pi", "--hierarchy", "3"],
+    "spectrum": ["spectrum", "--potential", "morse"],
+    "spectrum-json": ["spectrum", "--potential", "morse", "--format", "json"],
+    "scatter": ["scatter", "--potential", "sech2", "--params", "B=1", "--k", "0.5"],
+    "isospectral": ["isospectral", "--potential", "shifted_oscillator", "--lambdas", "1"],
+    "swkb": ["swkb", "--potential", "morse", "--levels", "1"],
+    "bands": ["bands", "--lame", "a=1"],
+    "check": ["check"],
+}
+
+
+@pytest.mark.parametrize("argv", _WRITERS.values(), ids=_WRITERS.keys())
+def test_an_unwritable_output_is_a_configuration_error(tmp_path, capsys, argv):
+    path = str(tmp_path / "no_such_dir" / "out.txt")
+    code = main(argv + ["--output", path])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err.startswith("configuration error: ") and err.count("\n") == 1
+    assert path in err
+
+
+def test_figures_outdir_on_a_file_is_a_configuration_error(tmp_path, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    code = main(["figures", "--outdir", str(taken)])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err.startswith("configuration error: ") and err.count("\n") == 1
+    assert str(taken) in err
+
+
 def test_exit_code_config_error(capsys):
     assert main(["spectrum"]) == 2
     capsys.readouterr()

@@ -4,18 +4,14 @@ import numpy as np
 import pytest
 
 from susyqm.core import (
-    GroundStateSide,
     Superpotential,
     SusyError,
     algebra_check,
     apply_A,
     apply_Adag,
-    detect_breaking,
     ground_state_from_w,
-    map_from_partner,
     map_to_partner,
     normalized,
-    w_from_ground_state,
 )
 from susyqm.grids import Grid, SampledFunction, integrate, sample
 
@@ -61,15 +57,6 @@ def test_apply_A_annihilates_zero_mode():
     assert np.max(np.abs(res.values)) < 1e-6
 
 
-def test_w_from_ground_state_roundtrip():
-    w = oscillator_w(2.0)
-    grid = Grid(-6.0, 6.0, 3001)
-    psi0 = ground_state_from_w(w, grid)
-    w_rec = w_from_ground_state(psi0)
-    x = np.linspace(-3, 3, 61)
-    assert np.max(np.abs(w_rec.w(x) - x)) < 1e-6
-
-
 def test_partner_mapping_preserves_norm_and_energy():
     from susyqm.eigensolver import bound_states
 
@@ -95,11 +82,9 @@ def test_partner_mapping_round_trip(name):
     w = entry.superpotential()
     for pair in numeric_levels(entry, 3, n_points=4001)[1:]:
         there = map_to_partner(w, pair.psi, pair.energy)
-        back = map_from_partner(w, there, pair.energy)
+        back = apply_Adag(w, there).map(lambda v: v / math.sqrt(pair.energy))
         assert np.max(np.abs(back.values - pair.psi.values)) <= 1e-6
         assert np.max(np.abs(there.values)) > 0.1  # the partner state is not zero
-    with pytest.raises(SusyError):
-        map_from_partner(w, pair.psi, 0.0)
 
 
 def test_apply_Adag_adds_node():
@@ -138,20 +123,6 @@ def test_algebra_check_residuals():
 def test_algebra_check_gap_stalls(w):
     coarse, fine = _algebra_on_two_grids(w)
     assert coarse.discretization_gap / fine.discretization_gap < 3.0
-
-
-def test_detect_breaking_unbroken_for_odd_power():
-    w = Superpotential(w=lambda x: np.asarray(x, dtype=float) ** 3)
-    status = detect_breaking(w)
-    assert not status.broken
-    assert status.ground_state_side is GroundStateSide.V1
-
-
-def test_detect_breaking_broken_for_even_power():
-    w = Superpotential(w=lambda x: np.asarray(x, dtype=float) ** 2)
-    status = detect_breaking(w)
-    assert status.broken
-    assert status.ground_state_side is GroundStateSide.NEITHER
 
 
 def test_map_to_partner_rejects_zero_energy():

@@ -12,7 +12,6 @@ from susyqm.grids import (
     derivative,
     integrate,
     sample,
-    second_derivative,
     simpson_weights,
 )
 
@@ -72,13 +71,6 @@ def test_derivative_fourth_order():
     f = sample(np.sin, g)
     err = np.max(np.abs(derivative(f).values[3:-3] - np.cos(g.points[3:-3])))
     assert err < 1e-7  # interior stencil; the one-sided edge rows are lower order
-
-
-def test_second_derivative():
-    g = Grid(-1.0, 1.0, 401)
-    f = sample(np.sin, g)
-    err = np.max(np.abs(second_derivative(f).values[3:-3] + np.sin(g.points[3:-3])))
-    assert err < 1e-5
 
 
 def test_count_nodes_ignores_noise():

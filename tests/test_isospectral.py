@@ -5,7 +5,7 @@ import pytest
 
 from susyqm.catalog import sip_lookup
 from susyqm.eigensolver import bound_states
-from susyqm.grids import Grid, SampledFunction, integrate, sample
+from susyqm.grids import Grid, integrate
 from susyqm.isospectral import (
     IsoFamily,
     IsospectralError,
@@ -40,13 +40,13 @@ def test_family_keeps_bound_state_energy(soliton_family):
 
 
 def test_deformed_ground_state_is_eigenstate(soliton_family):
-    from susyqm.grids import second_derivative
+    from susyqm.grids import derivative
 
     lam = 1.0
     v = soliton_family.potential(lam)
     psi = soliton_family.ground_state(lam)
     assert integrate(psi.map(lambda u: u**2)) == pytest.approx(1.0, rel=1e-8)
-    resid = -second_derivative(psi).values + v.values * psi.values
+    resid = -derivative(derivative(psi)).values + v.values * psi.values
     interior = slice(10, -10)
     assert np.max(np.abs(resid[interior])) < 1e-4
 
@@ -88,22 +88,6 @@ def test_boundary_members_lose_ground_state(soliton_family):
         assert not lv[0].bound or lv[0].energy > 0.5  # nothing left below threshold
     # the two deletions are mirror images for a symmetric base well
     assert np.max(np.abs(v_p.values - v_am.values[::-1])) < 1e-6
-
-
-def test_excited_state_mapping():
-    entry = sip_lookup("shifted_oscillator")
-    w = entry.superpotential()
-    grid = Grid(-10.0, 10.0, 3001)
-    fam = IsoFamily.build(w, grid)
-    from susyqm.catalog import sip_eigenfunction
-    from susyqm.grids import second_derivative
-
-    lam = 1.5
-    psi1 = sip_eigenfunction(entry, 1, grid)
-    phi = fam.excited_state(lam, psi1, 2.0)
-    v = fam.potential(lam)
-    resid = -second_derivative(phi).values + (v.values - 2.0) * phi.values
-    assert np.max(np.abs(resid[30:-30])) < 1e-4
 
 
 def test_narrow_grid_rejected():

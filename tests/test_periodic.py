@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
+from susyqm.core import Superpotential
 from susyqm.eigensolver import SolverError
 from susyqm.periodic import (
     BandEdge,
     LameSpec,
     PeriodicError,
-    PeriodicSuperpotential,
     band_edge_states,
     classify_pair,
     hill_discriminant,
@@ -17,47 +17,41 @@ from susyqm.periodic import (
     lame_partner,
     lame_potential,
     numeric_band_edges,
-    self_isospectral_classify,
-    zero_mode_check,
 )
 from susyqm.special import elliptic_K, jacobi_sn_cn_dn
 
 
-def sine_w(amplitude=1.0):
-    return PeriodicSuperpotential(
-        w=lambda x: amplitude * np.sin(np.asarray(x, float)), period=2 * math.pi
-    )
+@pytest.mark.parametrize(
+    "w_fn, kind, shift",
+    [
+        # sin(x + pi) = -sin(x): the partner is the half-period translate
+        (np.sin, "translation", math.pi),
+        # an even W: the partner is the mirror image
+        (lambda x: np.cos(x) + np.cos(2 * x), "reflection", 0.0),
+    ],
+    ids=["sine", "even"],
+)
+def test_classify_pair_self_isospectral(w_fn, kind, shift):
+    w = Superpotential(w_fn)
+    assert classify_pair(w.v1, w.v2, 2 * math.pi) == (kind, shift)
 
 
-def test_periodicity_validated():
-    with pytest.raises(PeriodicError):
-        PeriodicSuperpotential(w=lambda x: np.asarray(x, float), period=1.0)
+@pytest.mark.parametrize(
+    "kind, fraction", [("translation", 0.25), ("reflection", 0.5), ("neither", None)]
+)
+def test_check_lame_one_needs_the_half_period_translation(monkeypatch, kind, fraction):
+    from susyqm import selfcheck
 
+    def classified(v1, v2, period):
+        return kind, None if fraction is None else fraction * period
 
-def test_zero_mode_check():
-    assert zero_mode_check(sine_w()) == "unbroken"
-    shifted = PeriodicSuperpotential(
-        w=lambda x: 1.0 + np.sin(np.asarray(x, float)), period=2 * math.pi
-    )
-    assert zero_mode_check(shifted) == "broken"
-
-
-def test_self_isospectral_sine():
-    # sin(x + pi) = -sin(x): the partner is the half-period translate
-    assert self_isospectral_classify(sine_w()) == "half-period-antisymmetric"
-
-
-def test_self_isospectral_even():
-    w = PeriodicSuperpotential(
-        w=lambda x: np.cos(np.asarray(x, float)) + np.cos(2 * np.asarray(x, float)),
-        period=2 * math.pi,
-    )
-    assert self_isospectral_classify(w) == "even-reflection"
+    monkeypatch.setattr(selfcheck, "classify_pair", classified)
+    assert not selfcheck.check_lame_one().passed
 
 
 def test_classify_pair_translation():
-    w = sine_w()
-    kind, shift = classify_pair(w.v1, w.v2, w.period)
+    w = Superpotential(np.sin)
+    kind, shift = classify_pair(w.v1, w.v2, 2 * math.pi)
     assert kind == "translation"
     assert shift == pytest.approx(math.pi, abs=0.01)
 

@@ -1,4 +1,3 @@
-import cmath
 import math
 
 import numpy as np
@@ -11,7 +10,6 @@ from susyqm.scattering import (
     channel_momenta,
     numeric_rt,
     numeric_rt_for,
-    partner_phase_shift,
     partner_rt,
     propagate,
     reflectionless_T,
@@ -68,16 +66,6 @@ def test_numeric_matches_closed_form_sech2():
         amp = numeric_rt_for(w, 1, energy, -18.0, 18.0, n_steps=30000)
         assert abs(amp.r) < 1e-7
         assert abs(amp.t - reflectionless_T(1, k)) < 1e-6
-
-
-def test_partner_phase_shift_identity():
-    # W -> W+ > 0 on the half line; at delta2 = 0 the phase is -atan(ck'/W+)
-    w = sip_lookup("sech2", B=1.0).superpotential()
-    kp = 1.0
-    energy = kp**2 + 1.0
-    d1 = partner_phase_shift(w, energy, 0.0)
-    expect = 0.5 * cmath.phase((1.0 - 1j * kp) / (1.0 + 1j * kp))
-    assert d1 == pytest.approx(expect, abs=1e-12)
 
 
 def test_scatter_recursion_matches_product_formula():
