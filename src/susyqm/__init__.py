@@ -63,9 +63,10 @@ from .scattering import (
     reflectionless_T,
 )
 
-# swkb is compiled only by the commands that quantize, and no command solves a
-# callable V with the spectral engine (which needs scipy.linalg): their names
-# are imported on first access (PEP 562) rather than with the package.
+# swkb is compiled only by the commands that quantize, and the spectral engine
+# (which needs scipy.linalg) only by `check`, the one command that solves a
+# callable V (`figures` writes its box states in closed form): their names are
+# imported on first access (PEP 562) rather than with the package.
 _SWKB_NAMES = ("Mode", "QuantizationProblem", "QuantizeError", "exactness_audit", "quantize")
 
 

@@ -7,8 +7,8 @@ inf and nan are refused where numbers are parsed (exit 2). Each distinct
 warning a run raises is printed once on stderr as "warning: ...". A reader
 that closes stdout early (`susyqm check | head -3`) ends the run quietly with
 exit 1. Each subcommand defines only the flags its handler reads.
-Only `figures` and `check` load scipy (`scipy.linalg`, for the bound-state
-solvers); the other commands load none.
+Only `check` loads scipy (`scipy.linalg`, for the bound-state solvers); the
+other commands load none, and `figures` writes its states in closed form.
 """
 
 from __future__ import annotations
@@ -145,9 +145,13 @@ def _emit(cfg: RunConfig, columns: list[str], rows: list[list[float]], diagnosti
         _emit_json(cfg, outputs, diagnostics)
         return
     with _output_stream(cfg) as stream:
-        stream.write(",".join(columns) + "\n")
-        for row in rows:
-            stream.write(",".join(_fmt(v) for v in row) + "\n")
+        _write_csv(stream, columns, rows)
+
+
+def _write_csv(stream, columns: list[str], rows) -> None:
+    stream.write(",".join(columns) + "\n")
+    for row in rows:
+        stream.write(",".join(_fmt(v) for v in row) + "\n")
 
 
 def _emit_json(cfg: RunConfig, outputs: dict, diagnostics: dict):
@@ -328,8 +332,8 @@ def _cmd_swkb(cfg: RunConfig) -> int:
         raise ConfigError("swkb needs a catalog --potential")
     entry = _lookup(cfg)
     spec, truncated = sip_spectrum(entry, cfg.extra["levels"] - 1)
-    prob_s = problem_for_entry(entry, Mode.SWKB_V1)
-    prob_w = problem_for_entry(entry, Mode.WKB) if entry.name in WKB_APPLICABLE else None
+    prob_s = problem_for_entry(entry, Mode.SWKB_V1, e_top=spec[-1])
+    prob_w = problem_for_entry(entry, Mode.WKB, e_top=spec[-1]) if entry.name in WKB_APPLICABLE else None
     rows = []
     for n, e_exact in enumerate(spec):
         e_swkb = quantize(prob_s, n)
@@ -400,27 +404,20 @@ def _cmd_bands(cfg: RunConfig) -> int:
 def _cmd_figures(cfg: RunConfig) -> int:
     outdir = cfg.extra.get("outdir") or os.environ.get("SUSYQM_OUTDIR", ".")
     os.makedirs(outdir, exist_ok=True)
-    manifest = {}
+    manifest = {
+        "box_and_singular_partner.csv": "flat box and its inverse-square partner with their two lowest states",
+        "isospectral_oscillator_potentials.csv": "one-parameter isospectral deformations of the oscillator well",
+        "isospectral_oscillator_ground_states.csv": "normalized ground states along the same deformation sweep",
+    }
 
-    # singular partner of the flat box: both wells with their first eigenfunctions
-    from .spectral import spectral_bound_states
-
+    # box psi_n = sqrt(2/pi) sin((n+1)x); partner (W = -cot x) psi_n = A psi1_n+1 / sqrt((n+2)^2 - 1),
+    # A = d/dx - cot x: A sin 2x = -2 sin^2 x, A sin 3x = -8 sin^2 x cos x, signs flipped to + first lobe
     grid = Grid(0.0, math.pi, 2001)
     x = grid.points.copy()
     x[0], x[-1] = x[1], x[-2]  # V is infinite on the walls: the CSV repeats the next sample
     wells = (well_hierarchy_potential(0), well_hierarchy_potential(1))
-    psis = [
-        pair.psi.values
-        for v in wells
-        for pair in spectral_bound_states(v, (0.0, math.pi), 2, (True, True), grid.n_points)
-    ]
-    name = "box_and_singular_partner.csv"
-    _write_csv(
-        os.path.join(outdir, name),
-        ["x", "v_box", "v_partner", "psi0_box", "psi1_box", "psi0_partner", "psi1_partner"],
-        np.column_stack([grid.points, *(v(x) for v in wells), *psis]),
-    )
-    manifest[name] = "flat box and its inverse-square partner with their two lowest states"
+    s, c, norm = np.sin(grid.points), np.cos(grid.points), math.sqrt(2 / math.pi)
+    psis = (norm * s, norm * 2 * s * c, norm * 2 * s**2 / math.sqrt(3), norm * 8 * s**2 * c / math.sqrt(8))
 
     # deformed oscillator potentials and ground states over a lambda sweep
     entry = sip_lookup("shifted_oscillator")
@@ -428,32 +425,24 @@ def _cmd_figures(cfg: RunConfig) -> int:
     fam = IsoFamily.build(entry.superpotential(), Grid(-16.0, 16.0, 4001))
     idx = np.searchsorted(fam.grid.points, g.points)
     lams = [0.5, 1.0, 5.0, 1e6]
-    cols_v, cols_p = [], []
-    for lam in lams:
-        cols_v.append(fam.potential(lam).values[idx])
-        cols_p.append(fam.ground_state(lam).values[idx])
-    rows_v = [[xv] + [c[i] for c in cols_v] for i, xv in enumerate(g.points)]
-    rows_p = [[xv] + [c[i] for c in cols_p] for i, xv in enumerate(g.points)]
-    name_v = "isospectral_oscillator_potentials.csv"
-    name_p = "isospectral_oscillator_ground_states.csv"
-    headers = ["x"] + [f"lam_{lam:g}" for lam in lams]
-    _write_csv(os.path.join(outdir, name_v), headers, rows_v)
-    _write_csv(os.path.join(outdir, name_p), headers, rows_p)
-    manifest[name_v] = "one-parameter isospectral deformations of the oscillator well"
-    manifest[name_p] = "normalized ground states along the same deformation sweep"
+    lam_cols = ["x"] + [f"lam_{lam:g}" for lam in lams]
 
+    tables = (  # (columns, rows) of each manifest file, in its order
+        (
+            ["x", "v_box", "v_partner", "psi0_box", "psi1_box", "psi0_partner", "psi1_partner"],
+            np.column_stack([grid.points, *(v(x) for v in wells), *psis]),
+        ),
+        (lam_cols, np.column_stack([g.points, *(fam.potential(lam).values[idx] for lam in lams)])),
+        (lam_cols, np.column_stack([g.points, *(fam.ground_state(lam).values[idx] for lam in lams)])),
+    )
+    for name, (columns, rows) in zip(manifest, tables):
+        with open(os.path.join(outdir, name), "w", encoding="utf-8") as fh:
+            _write_csv(fh, columns, rows)
     with open(os.path.join(outdir, "manifest.json"), "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2)
         fh.write("\n")
     print(f"wrote {len(manifest)} data files and manifest.json to {outdir}")
     return 0
-
-
-def _write_csv(path: str, columns: list[str], rows) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(columns) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
 
 
 def _cmd_check(cfg: RunConfig) -> int:

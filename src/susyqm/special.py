@@ -1,9 +1,9 @@
-"""Special functions: sech, csch, erfc, complete elliptic integral K(m), Jacobi sn/cn/dn,
+"""Special functions: sech, csch, complete elliptic integral K(m), Jacobi sn/cn/dn,
 and the three-term recurrence of the orthonormal Jacobi polynomials.
 
 K(m) and the Jacobi functions are computed with the arithmetic-geometric mean
 (descending Landen transformation), which is cheap and uniformly accurate for
-modulus parameter m in [0, 1]. erfc delegates to the C library implementation.
+modulus parameter m in [0, 1].
 """
 
 from __future__ import annotations
@@ -28,13 +28,6 @@ def csch(z):
     """1/sinh z, quiet where sinh overflows (|z| beyond ~710) and the limit is 0."""
     with np.errstate(over="ignore"):
         return 1.0 / np.sinh(z)
-
-
-def erfc(x):
-    """Complementary error function, |error| <= 1e-15, erfc(-x) = 2 - erfc(x)."""
-    if np.isscalar(x):
-        return math.erfc(x)
-    return np.vectorize(math.erfc, otypes=[float])(np.asarray(x, dtype=float))
 
 
 def elliptic_K(m: float) -> float:

@@ -25,7 +25,7 @@ ordinary WKB is exact only for the oscillator and Morse wells.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from functools import cached_property, lru_cache
 from typing import Callable
@@ -280,15 +280,32 @@ WKB_APPLICABLE = {"shifted_oscillator", "morse"}
 
 
 def problem_for_entry(
-    entry: SipEntry, mode: Mode = Mode.SWKB_V1, n_points: int = 2001
+    entry: SipEntry, mode: Mode = Mode.SWKB_V1, n_points: int = 2001, e_top: float | None = None
 ) -> QuantizationProblem:
-    """SWKB/WKB problem on the entry's working window."""
+    """SWKB/WKB problem on the entry's working window.
+
+    e_top, when given, is the highest level the problem must hold: at an open
+    end of the domain where the well is at or below e_top, the window doubles
+    outwards for as long as the well there still rises.
+    """
     g = numeric_grid(entry, n_points)
     w = entry.superpotential()
     profile = w.w if mode is not Mode.WKB else (lambda x: w.v1(x))
-    return QuantizationProblem(
+    prob = QuantizationProblem(
         mode=mode, profile=profile, window=(g.x_min, g.x_max), hbar=w.hbar, mass2=w.mass2
     )
+    if e_top is None:
+        return prob
+    window = [g.x_min, g.x_max]
+    for i, sense in ((0, -1.0), (1, 1.0)):
+        u = float(prob.well(window[i])) if math.isinf(entry.domain[i]) else math.inf
+        while u <= e_top:
+            out = window[i] + sense * (window[1] - window[0])
+            u_out = float(prob.well(out))
+            if not u_out > u:
+                break
+            window[i], u = out, u_out
+    return replace(prob, window=tuple(window))
 
 
 def exactness_audit(entries: list[SipEntry], n_max: int = 5) -> list[AuditRow]:
@@ -296,11 +313,11 @@ def exactness_audit(entries: list[SipEntry], n_max: int = 5) -> list[AuditRow]:
     rows = []
     for entry in entries:
         spec, _ = sip_spectrum(entry, n_max)
-        prob = problem_for_entry(entry, Mode.SWKB_V1)
+        prob = problem_for_entry(entry, Mode.SWKB_V1, e_top=spec[-1])
         for n, e_exact in enumerate(spec):
             rows.append(AuditRow(entry.name, "swkb", n, e_exact, quantize(prob, n)))
         if entry.name in WKB_APPLICABLE:
-            prob_w = problem_for_entry(entry, Mode.WKB)
+            prob_w = problem_for_entry(entry, Mode.WKB, e_top=spec[-1])
             for n, e_exact in enumerate(spec):
                 e = quantize(prob_w, n)
                 rows.append(AuditRow(entry.name, "wkb", n, e_exact, e))

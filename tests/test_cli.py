@@ -176,6 +176,17 @@ def test_swkb_reports_a_truncated_level_request(capsys):
     assert json.loads(capsys.readouterr().out)["diagnostics"]["truncated"] is False
 
 
+def test_swkb_lists_every_level_that_spectrum_lists(capsys):
+    # E_4 lies above W^2 at the far end of the entry's box: the window must grow to hold it
+    argv = ["--potential", "coulomb", "--params", "e2=1.392043556789436,l=3", "--levels", "5"]
+    code, out = run(capsys, "swkb", *argv)
+    assert code == 0
+    _, rows = parse_csv(out)
+    _, levels = parse_csv(run(capsys, "spectrum", *argv)[1])
+    assert [row[:2] for row in rows] == levels
+    assert [row[2] for row in rows] == pytest.approx([e for _, e in levels], abs=1e-13)
+
+
 def test_swkb_quantize_failure_is_a_numeric_failure(capsys):
     # level 2 of this sech2 well sits 4e-8 below the continuum, inside the quantizer's guard
     code = main(["swkb", "--potential", "sech2", "--params", "B=2.00000001", "--levels", "3"])
@@ -225,6 +236,20 @@ def test_figures(tmp_path, capsys):
     assert len(manifest) == 3
     for name in manifest:
         assert (tmp_path / name).exists()
+
+
+def test_figures_box_and_partner_states_match_the_spectral_engine(tmp_path, capsys):
+    # figures writes the four states in closed form; the engine on the same nodes is the oracle
+    from susyqm import spectral_bound_states, well_hierarchy_potential
+
+    assert main(["figures", "--outdir", str(tmp_path)]) == 0
+    table = np.loadtxt(tmp_path / "box_and_singular_partner.csv", delimiter=",", skiprows=1)
+    engine = [
+        pair.psi.values
+        for p in (0, 1)
+        for pair in spectral_bound_states(well_hierarchy_potential(p), (0, math.pi), 2, (True, True), 2001)
+    ]
+    assert np.abs(table[:, 3:] - np.column_stack(engine)).max() <= 1e-10
 
 
 _WRITERS = {

@@ -42,11 +42,12 @@ def scipy_modules(argv: list) -> list:
         ["isospectral", "--potential", "shifted_oscillator", "--lambdas", "0.5,1,5"],
         ["swkb", "--potential", "morse", "--levels", "3"],
         ["bands", "--lame", "a=1", "--m", "0.5"],
+        ["figures", "--outdir", "{tmp}"],
     ],
     ids=lambda argv: argv[0],
 )
-def test_commands_without_a_solver_load_no_scipy(argv):
-    assert scipy_modules(argv) == []
+def test_commands_without_a_solver_load_no_scipy(argv, tmp_path):
+    assert scipy_modules([a.format(tmp=tmp_path) for a in argv]) == []
 
 
 def test_check_never_loads_scipy_optimize():
@@ -69,7 +70,8 @@ def test_swkb_names_are_served_by_the_package():
 
 
 def test_the_cli_does_not_load_the_spectral_engine():
-    # no command solves a callable V; a process that never does should not compile it
+    # only `check` solves a callable V (figures writes its box states in closed form);
+    # a process that never does should not compile the engine
     env = dict(os.environ)
     env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
     probe = "import sys, susyqm.cli; print('susyqm.spectral' in sys.modules)"

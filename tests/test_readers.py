@@ -11,7 +11,6 @@ UNREAD_BUT_KEPT = {
     "partner_rt": "perfbench's transmission_sweep imports it",
     "hill_discriminant": "perfbench's transmission_sweep imports it",
     "sip_eigenfunction": "the paper's ladder-operator construction of psi_n (catalog docstring)",
-    "erfc": "no reader: to be deleted with tests/test_special.py::test_erfc_scalar_and_array",
 }
 
 

@@ -5,15 +5,9 @@ import numpy as np
 import pytest
 from scipy import special as sps
 
-from susyqm.special import DomainError, _landen, csch, elliptic_K, erfc, jacobi_sn_cn_dn, sech
+from susyqm.special import DomainError, _landen, csch, elliptic_K, jacobi_sn_cn_dn, sech
 
 M_GRID = np.linspace(0.01, 0.99, 99)
-
-
-def test_erfc_scalar_and_array():
-    assert erfc(0.0) == pytest.approx(1.0)
-    xs = np.linspace(-3, 3, 13)
-    assert np.allclose(erfc(xs), sps.erfc(xs), atol=1e-15)
 
 
 def test_sech_and_csch_tend_to_zero_without_an_overflow_warning():

@@ -119,6 +119,19 @@ def test_level_above_continuum_raises():
         quantize(prob, 10)
 
 
+def test_the_window_grows_at_an_open_end_only_for_a_level_it_cannot_hold():
+    # W^2 at the far end r = 143.7 of this coulomb box is 0.02136, below E_4 = 0.02271
+    entry = sip_lookup("coulomb", e2=1.392043556789436, l=3)
+    spec, _ = sip_spectrum(entry, 4)
+    lo, hi = problem_for_entry(entry, Mode.SWKB_V1).window
+    prob = problem_for_entry(entry, Mode.SWKB_V1, e_top=spec[-1])
+    assert prob.window == (lo, 2 * hi - lo)  # the wall end stays, the open end moves once
+    for name, mode in itertools.product(CATALOG_NAMES, Mode):
+        default = sip_lookup(name)
+        top = sip_spectrum(default, 5)[0][-1]
+        assert problem_for_entry(default, mode, e_top=top).window == problem_for_entry(default, mode).window
+
+
 def gap_at(name, energy):
     """E - W^2 of a catalog entry's SWKB problem and a scan cell holding one root."""
     prob = problem_for_entry(sip_lookup(name), Mode.SWKB_V1)
