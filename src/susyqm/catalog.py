@@ -19,7 +19,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .core import Superpotential, apply_Adag, ground_state_from_w, normalized
+from .core import Superpotential, apply_Adag, ground_state_exponent, ground_state_from_w, normalized
 from .eigensolver import EigenPair
 from .grids import Grid, SampledFunction
 from .special import csch, sech
@@ -427,9 +427,11 @@ def numeric_levels(entry: SipEntry, count: int, n_points: int = 4001) -> list[Ei
     [box[0], inf) for a wall only at the left end (the box length sets its
     scales), and the Lagrange-Jacobi mesh on the box for a wall at both ends.
     Each end where the domain is infinite is open (None in walls): there the
-    DVR's nodes reach 3000 past the well's centre instead of stopping at the
-    box, unless V1 is not finite or above 1e6 that far out, and a level at
-    or above V1 at the far node is flagged as not bound. The map is centred
+    DVR's nodes reach past the box, sized from a probe solve's top level
+    until psi^2 has decayed by e^-36 beyond its outer turning point (out to
+    3e4 from the well's centre where V1 never rises that far above it),
+    unless V1 is not finite or above 1e6 at that reach, and a level at or
+    above V1 at the far node is flagged as not bound. The map is centred
     at V1's minimum in the box (its centre for an even V1) with twice the
     well's oscillator length as its scale. At each wall psi goes as d^s with
     s = lim -+d W, the exponent of the ground state exp(-int W): W picks the
@@ -437,12 +439,12 @@ def numeric_levels(entry: SipEntry, count: int, n_points: int = 4001) -> list[Ei
     as well, while the energies still come from V1 alone. Levels converge to
     1e-10 relative, and psi is returned on Grid(*box, n_points).
     """
-    from .spectral import _ground_state_exponent, spectral_bound_states
+    from .spectral import spectral_bound_states
 
     lo, hi = entry.box
     w = entry.superpotential().w
     walls = tuple(
-        _ground_state_exponent(w, wall, hi - lo, sense) if on else (None if math.isinf(end) else False)
+        ground_state_exponent(w, wall, hi - lo, sense) if on else (None if math.isinf(end) else False)
         for wall, sense, on, end in zip(entry.box, (1.0, -1.0), (entry.wall_lo, entry.wall_hi), entry.domain)
     )
     return spectral_bound_states(entry.v1, entry.box, count, walls=walls, n_points=n_points)

@@ -16,7 +16,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .eigensolver import dirichlet_tridiagonal, lowest_eigenvalues
+from .eigensolver import SolverError, dirichlet_tridiagonal, lowest_eigenvalues
 from .grids import (
     Grid,
     SampledFunction,
@@ -97,6 +97,54 @@ def ground_state_from_w(w: Superpotential, grid: Grid) -> SampledFunction:
     if not np.isfinite(norm) or norm <= 0:
         raise SusyError("zero-mode candidate has no finite positive norm")
     return SampledFunction(grid, psi / math.sqrt(norm))
+
+
+def _wall_limit(f, wall: float, sense: float, rho: float, power: int) -> float:
+    """lim d^power f(wall + sense d) as d -> 0, d = sense (r - wall) the
+    distance into the interval (sense = +1 for a wall at its lower end, -1 at
+    its upper end): the cubic through d = rho, 2 rho, 4 rho, 8 rho at d = 0,
+    which leaves 64 rho^4 c of a d^power f that goes as a + b d + ... + c d^4."""
+    d = rho * np.array([1.0, 2.0, 4.0, 8.0])
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        g = d**power * np.asarray(f(wall + sense * d), dtype=float)
+    if not np.all(np.isfinite(g)):
+        raise SolverError(f"not finite next to the wall at {wall:.6g}, {rho:.6g} inside")
+    # (64 g0 - 56 g1 + 14 g2 - g3) / 21 as a fused multiply-add dot sums it, with
+    # no BLAS call (see spectral): left to right, each partial sum rounded once
+    # from the exact one. 56 = 64 - 8 and 14 = 16 - 2 split every product into
+    # exact ones, and fsum rounds once
+    acc = math.fsum((64.0 * g[0], -64.0 * g[1], 8.0 * g[1]))
+    return (math.fsum((acc, 16.0 * g[2], -2.0 * g[2])) - float(g[3])) / 21.0
+
+
+def wall_exponent(v, wall: float, length: float, sense: float = 1.0) -> float:
+    """s = 1/2 + sqrt(1/4 + g) for V ~ g / d^2 at the wall: psi ~ d^s, the
+    larger root of s (s - 1) = g, and s = 1 for a V finite at the wall.
+
+    rho is 1e-5 of the box length, but at least 100 times the step
+    1e-6 max(1, |r|) with which _fd_derivative differentiates a W that has
+    no w_prime, so a V1 built that way neither samples W beyond the wall nor
+    carries more than a few 1e-8 of relative error there.
+    """
+    g = _wall_limit(v, wall, sense, max(1e-5 * length, 1e-4 * max(1.0, abs(wall))), 2)
+    if not g > -0.25:
+        raise SolverError(
+            f"V ~ {g:.6g} / d^2 at the wall at {wall:.6g}: no ground state below -1/(4 d^2)"
+        )
+    return 0.5 + math.sqrt(0.25 + g)
+
+
+def ground_state_exponent(w, wall: float, length: float, sense: float) -> float:
+    """s = lim -+d W at the wall, so the ground state exp(-int W) goes as d^s.
+
+    Where s < 1/2 this is the smaller root of s (s - 1) = lim d^2 V1, which
+    V1 alone cannot tell from 1 - s. rho is 1e-4 |wall|: the position of a
+    wall at |wall| ~ 1 is known to about 1e-16, which is then 1e-12 of rho.
+    A wall at 0 has no such rounding, and rho = 1e-6 of the box length keeps
+    the cubic's 64 rho^4 c below 1e-16 (on poschl_teller A = 3, B = 3.1,
+    rho = 3.6e-4 left 1.4e-13 in s and 2.6e-10 in the levels).
+    """
+    return -sense * _wall_limit(w, wall, sense, max(1e-6 * length, 1e-4 * abs(wall)), 1)
 
 
 def apply_A(w: Superpotential, psi: SampledFunction) -> SampledFunction:

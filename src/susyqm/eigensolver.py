@@ -15,7 +15,9 @@ cascade and the direct route of core.algebra_check use it. EigenPair is the
 level type of every solver. A callable V, catalog wells and the well ladder
 included, goes to the spectral engine in spectral; band edges of periodic
 wells come from the Fourier-Floquet-Hill solver in periodic. scipy is
-imported on use, which keeps it off the CLI's start-up.
+imported on use, which keeps it off the CLI's start-up. The norms and dot
+products between LAPACK calls are np.einsum, not numpy's BLAS, whose thread
+pool would otherwise hold the cores scipy's LAPACK waits for (see spectral).
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from typing import Callable, Union
 
 import numpy as np
 
-from .grids import Grid, SampledFunction, count_nodes, integrate, sample
+from .grids import Grid, SampledFunction, count_nodes, integrate, lobe_sign, sample
 
 
 COARSEST_POINTS = 257  # bound_states' cascade coarsens to the first grid below this
@@ -59,12 +61,6 @@ class EigenPair:
         if callable(self._psi):
             object.__setattr__(self, "_psi", self._psi())
         return self._psi
-
-
-def _flip_sign(values: np.ndarray) -> float:
-    """-1 if the first lobe above half the peak is negative, else +1."""
-    mag = np.abs(values)
-    return -1.0 if values[np.argmax(mag > 0.5 * np.max(mag))] < 0 else 1.0
 
 
 def dirichlet_tridiagonal(v: np.ndarray, h: float, c2: float) -> tuple[np.ndarray, np.ndarray]:
@@ -136,7 +132,7 @@ def _rqi(v: np.ndarray, off: float, sigma: float, psi: np.ndarray, rounding: flo
         # one O(n) solve of (T - sigma) y = q, written over the buffers and q
         if dgtsv(lower[1:], diag, upper[:-1], q[:, None], 1, 1, 1, 1)[-1] != 0:
             return None
-        norm = np.linalg.norm(q)
+        norm = math.sqrt(np.einsum("i,i->", q, q))
         if not 0.0 < norm < math.inf:
             return None
         q /= norm
@@ -144,9 +140,9 @@ def _rqi(v: np.ndarray, off: float, sigma: float, psi: np.ndarray, rounding: flo
         tq -= np.multiply(q, 2.0, out=lower)
         tq *= off
         tq += np.multiply(vq, q, out=lower)
-        sigma = float(q @ tq)
+        sigma = float(np.einsum("i,i->", q, tq))
         tq -= np.multiply(q, sigma, out=lower)
-        residual = float(np.linalg.norm(tq))
+        residual = math.sqrt(np.einsum("i,i->", tq, tq))
         if residual <= (4.0 if step else 1.0) * rounding:
             return sigma, residual
     return None
@@ -192,7 +188,7 @@ def _refined(v: np.ndarray, h: float, energies: np.ndarray, vectors: list):
         # parallel vectors are two levels on one eigenvalue, a level the
         # coarser grid missed; else a split below the intervals (False), which
         # stays below them on every finer grid
-        return None if any(abs(psis[i] @ psis[i + 1]) > 0.5 for i in close) else False
+        return None if any(abs(np.einsum("i,i->", psis[i], psis[i + 1])) > 0.5 for i in close) else False
     return energies, psis
 
 
@@ -274,7 +270,7 @@ def bound_states(v: SampledFunction, count: int, check_decay: bool = True) -> li
     pairs = []
     for i, psi in enumerate(psis):
         psi /= math.sqrt(integrate(SampledFunction(grid, psi**2)))
-        psi *= _flip_sign(psi)
+        psi *= lobe_sign(psi)
         bound = energies[i] < min(vals[0], vals[-1])
         if check_decay and bound:
             edge_amp = np.abs(psi[[1, -2]]).max()

@@ -93,8 +93,9 @@ def simpson_weights(n: int, h: float) -> np.ndarray:
 
 
 def integrate(f: SampledFunction) -> float:
-    """Composite Simpson integral of a sampled function."""
-    return float(simpson_weights(f.grid.n_points, f.grid.h) @ f.values)
+    """Composite Simpson integral of a sampled function (by np.einsum, which
+    keeps numpy's BLAS thread pool asleep between the solvers' LAPACK calls)."""
+    return float(np.einsum("i,i->", simpson_weights(f.grid.n_points, f.grid.h), f.values))
 
 
 def cumulative_integral(f: SampledFunction) -> SampledFunction:
@@ -141,3 +142,10 @@ def count_nodes(values: np.ndarray) -> int:
     if sig.size < 2:
         return 0
     return int(np.sum(np.signbit(sig[:-1]) != np.signbit(sig[1:])))
+
+
+def lobe_sign(values: np.ndarray) -> float:
+    """-1 if the first lobe above half the peak is negative, else +1: the
+    sign that makes a state's first large lobe positive."""
+    mag = np.abs(values)
+    return -1.0 if values[np.argmax(mag > 0.5 * np.max(mag))] < 0 else 1.0

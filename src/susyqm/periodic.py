@@ -18,8 +18,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .eigensolver import EigenPair, SolverError, _flip_sign
-from .grids import Grid, SampledFunction, sample
+from .eigensolver import EigenPair, SolverError
+from .grids import Grid, SampledFunction, lobe_sign, sample
 from .scattering import propagate
 from .special import elliptic_K, jacobi_sn_cn_dn
 
@@ -292,7 +292,7 @@ def _bloch_state(grid: Grid, edge: BandEdge, f: np.ndarray, coef: np.ndarray) ->
     z = np.zeros(2 * n, dtype=complex)
     np.add.at(z, f, coef)
     psi = math.sqrt(8.0 / period) * n * np.fft.ifft(z)[: n + 1].real
-    psi *= _flip_sign(psi)
+    psi *= lobe_sign(psi)
     nodes = _cyclic_nodes(psi[:-1], 1.0 if edge.period_tag == "L" else -1.0)
     return EigenPair(edge.energy, SampledFunction(grid, psi), nodes)
 

@@ -8,9 +8,11 @@ are:
   (Kokoouline et al., J. Chem. Phys. 110 (1999) 9865): x_c sits at V's
   minimum, or at the interval's centre where V is mirror-symmetric, and a is
   twice the oscillator length (2/V'')^(1/4) of the well, a = inf (the
-  uniform grid) for a flat V. At an open end (the domain goes on) the nodes
-  reach 3000 from x_c, so that no box cuts a weakly bound level off; at a
-  closed end psi = 0 at the interval's end;
+  uniform grid) for a flat V. An open end (the domain goes on) is sized from
+  the levels: one probe solve gives the top level E_top, and the nodes reach
+  past its outer turning point until int sqrt(V - E_top) dx = 18, so that no
+  box cuts a weakly bound level off; at a closed end psi = 0 at the
+  interval's end;
 - a Lagrange-Laguerre mesh on the half line from the one wall, whose scale is
   one of a fixed set of fractions of the box length;
 - a Lagrange-Jacobi mesh on [lo, hi] for wells with a wall at both ends.
@@ -18,13 +20,21 @@ are:
 The two wall meshes are one assembly (_WallMesh) in ground-state form: psi =
 Phi p with Phi ~ d^s at each wall, p a polynomial at Gauss nodes, and the
 kinetic matrix from the nodes alone. s comes with the call (a catalog entry
-reads it off W, which picks the self-adjoint extension) or is read off V.
+reads it off W by core.ground_state_exponent, which picks the self-adjoint
+extension) or is read off V by core.wall_exponent.
 
 V is evaluated only at the mesh nodes. N doubles until the lowest levels move
 by less than SPECTRAL_TOL between N/2 and N (the Laguerre scale is picked from
 the same agreement), and that change is each level's error estimate. psi on a
 uniform grid is built only when first read. The module is imported on first
 use, so the commands that never solve a callable V do not load it.
+
+Nothing here calls numpy's BLAS (@, np.dot, np.linalg): numpy and scipy each
+bundle an OpenBLAS with its own thread pool, and with more than one BLAS
+thread a numpy BLAS call between two LAPACK calls leaves numpy's threads
+spinning on the cores that scipy's then wait for (on 2 cores, dsyevr at N =
+128 after a 64000-point norm took 8-14 ms against 1 ms). Products and
+reductions are np.einsum, which computes in numpy's own loops.
 """
 
 from __future__ import annotations
@@ -39,8 +49,9 @@ import numpy as np
 from scipy.linalg import eigh_tridiagonal
 from scipy.linalg.lapack import dsyevr
 
-from .eigensolver import EigenPair, SolverError, _flip_sign
-from .grids import Grid, SampledFunction, count_nodes
+from .core import wall_exponent
+from .eigensolver import EigenPair, SolverError
+from .grids import Grid, SampledFunction, count_nodes, lobe_sign
 from .special import jacobi_recurrence
 
 SPECTRAL_TOL = 1e-10  # level change between N/2 and N, relative to max(1, |E|)
@@ -53,8 +64,11 @@ _N_START = 16
 LAGUERRE_SCALES = (40, 80, 160)
 _CHUNK = 1 << 16  # matrix entries per chunk when psi is built
 _SAMPLES = 1024  # V sampled at 2 _SAMPLES + 1 points of the interval to place the sinh map
-_REACH = 3000.0  # an open end's nodes reach this far from x_c ...
-_REACH_V = 1e6  # ... where V there is finite and at most this
+_N_PROBE = 64  # with an open end, the basis size of the probe solve and of the doubling after it
+_PROBE_REACH = 3000.0  # the probe's open ends reach this far from x_c
+_WALK = 3e4  # an open end's reach is sought out to this far from x_c ...
+_DECAY = 18.0  # ... as where int sqrt(V - E_top) dx from the outer turning point reaches this: psi^2 ~ e^-36
+_REACH_V = 1e6  # an open end stops at the interval's end unless V at its reach is finite and at most this
 
 
 def _eigh_lowest(h: np.ndarray, count: int):
@@ -130,9 +144,11 @@ class _SineDVR:
     whole-line catalog draws of perfbench's seeds 1-10, a = 2 l and 2.5 l
     converge by N = 256 and a = 3 l needs N = 512 for two of them; at a = l
     the median level error was 1.8 times that at 2 l (seeds 1-5). An end of
-    walls that is None is open: the nodes reach _REACH from x_c past it,
-    unless V there is not finite or above _REACH_V. At every other end, and
-    at an open one that stops, psi = 0 at the interval's end: a box wall."""
+    walls that is None is open: the nodes reach _PROBE_REACH from x_c past it
+    until fit_open_ends sizes it from a probe's levels, never short of the
+    interval's end, unless V there is not finite or above _REACH_V. At every
+    other end, and at an open one that stops, psi = 0 at the interval's end:
+    a box wall."""
 
     def __init__(self, v, lo: float, hi: float, walls):
         mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
@@ -143,9 +159,28 @@ class _SineDVR:
         self.xc = mid if np.array_equal(vx, vx[::-1]) else x[i]
         self.a = 2.0 * (2.0 / curvature) ** 0.25 if curvature > 0 else math.inf
         self.open = np.array([w is None for w in walls])
-        far = self.xc + max(_REACH, 2.0 * half) * np.array([-1.0, 1.0])
-        ends = np.where((_values(v, far) <= _REACH_V) & self.open, far, [lo, hi])
+        self.interval = np.array([lo, hi])
+        self._reach(v, _PROBE_REACH)
+
+    def _reach(self, v, reach):
+        """Place the ends: an open one at x_c -+ reach (one reach, or one for
+        each end), or at the interval's end if that is farther or V at
+        x_c -+ reach is not finite or above _REACH_V."""
+        far = self.xc + np.array([-1.0, 1.0]) * np.maximum(reach, np.abs(self.interval - self.xc))
+        ends = np.where((_values(v, far) <= _REACH_V) & self.open, far, self.interval)
         self.s_lo, self.s_hi = self._s(ends)
+
+    def fit_open_ends(self, v, probe: _Levels):
+        """Reach each open end from the probe's levels. E_top is the probe's
+        top level, or its continuum edge if that level is not bound. Walking
+        out from x_c on 2049 points d = sinh(u), u uniform, out to _WALK, the
+        end reaches where int sqrt(V - E_top) dx, counted from the outer
+        turning point, reaches _DECAY: psi^2 has fallen by e^-36 there. Where
+        V never rises that far above E_top, the end reaches _WALK."""
+        d = np.sinh(np.linspace(0.0, math.asinh(_WALK), 2049))
+        above = _values(v, self.xc + np.concatenate((-d, d))).reshape(2, -1) - min(probe.energies[-1], probe.edge)
+        action = np.cumsum(np.sqrt(np.maximum(above, 0.0)) * np.diff(d, prepend=0.0), axis=1)
+        self._reach(v, np.where(action[:, -1] >= _DECAY, d[np.argmax(action >= _DECAY, axis=1)], _WALK))
 
     def _s(self, x):
         return self.a * np.arcsinh((x - self.xc) / self.a) if self.a < math.inf else x - self.xc
@@ -191,53 +226,12 @@ class _SineDVR:
         phi at s(x), and psi = phi / sqrt(g)."""
         n, length = coef.size, self.s_hi - self.s_lo
         k = np.arange(1, n + 1)
-        amp = np.sin(np.outer(k, k) * (math.pi / (n + 1))) @ coef * math.sqrt(2.0 / (n + 1))
+        amp = np.einsum("ij,j->i", np.sin(np.outer(k, k) * (math.pi / (n + 1))), coef) * math.sqrt(2.0 / (n + 1))
         s = self._s(grid.points)
-        phi = _by_rows(lambda rows: np.sin(np.outer(rows - self.s_lo, k * (math.pi / length))) @ amp, s, n)
-        return phi * math.sqrt(2.0 / length) / np.sqrt(np.cosh(s / self.a))
-
-
-def _wall_limit(f, wall: float, sense: float, rho: float, power: int) -> float:
-    """lim d^power f(wall + sense d) as d -> 0, d = sense (r - wall) the
-    distance into the interval (sense = +1 for a wall at its lower end, -1 at
-    its upper end): the cubic through d = rho, 2 rho, 4 rho, 8 rho at d = 0,
-    which leaves 64 rho^4 c of a d^power f that goes as a + b d + ... + c d^4."""
-    d = rho * np.array([1.0, 2.0, 4.0, 8.0])
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        g = d**power * np.asarray(f(wall + sense * d), dtype=float)
-    if not np.all(np.isfinite(g)):
-        raise SolverError(f"not finite next to the wall at {wall:.6g}, {rho:.6g} inside")
-    return float(np.dot([64.0, -56.0, 14.0, -1.0], g)) / 21.0
-
-
-def _wall_exponent(v, wall: float, length: float, sense: float = 1.0) -> float:
-    """s = 1/2 + sqrt(1/4 + g) for V ~ g / d^2 at the wall: psi ~ d^s, the
-    larger root of s (s - 1) = g, and s = 1 for a V finite at the wall.
-
-    rho is 1e-5 of the box length, but at least 100 times the step
-    1e-6 max(1, |r|) with which core differentiates a W that has no w_prime,
-    so a V1 built that way neither samples W beyond the wall nor carries more
-    than a few 1e-8 of relative error there.
-    """
-    g = _wall_limit(v, wall, sense, max(1e-5 * length, 1e-4 * max(1.0, abs(wall))), 2)
-    if not g > -0.25:
-        raise SolverError(
-            f"V ~ {g:.6g} / d^2 at the wall at {wall:.6g}: no ground state below -1/(4 d^2)"
+        phi = _by_rows(
+            lambda rows: np.einsum("ij,j->i", np.sin(np.outer(rows - self.s_lo, k * (math.pi / length))), amp), s, n
         )
-    return 0.5 + math.sqrt(0.25 + g)
-
-
-def _ground_state_exponent(w, wall: float, length: float, sense: float) -> float:
-    """s = lim -+d W at the wall, so the ground state exp(-int W) goes as d^s.
-
-    Where s < 1/2 this is the smaller root of s (s - 1) = lim d^2 V1, which
-    V1 alone cannot tell from 1 - s. rho is 1e-4 |wall|: the position of a
-    wall at |wall| ~ 1 is known to about 1e-16, which is then 1e-12 of rho.
-    A wall at 0 has no such rounding, and rho = 1e-6 of the box length keeps
-    the cubic's 64 rho^4 c below 1e-16 (on poschl_teller A = 3, B = 3.1,
-    rho = 3.6e-4 left 1.4e-13 in s and 2.6e-10 in the levels).
-    """
-    return -sense * _wall_limit(w, wall, sense, max(1e-6 * length, 1e-4 * abs(wall)), 1)
+        return phi * math.sqrt(2.0 / length) / np.sqrt(np.cosh(s / self.a))
 
 
 def _is_wall(end) -> bool:
@@ -246,7 +240,7 @@ def _is_wall(end) -> bool:
 
 def _exponent(end, v, wall: float, length: float, sense: float) -> float:
     """The wall exponent s of one end of walls: the float given, or read off V for True."""
-    s = float(end) if isinstance(end, float) else _wall_exponent(v, wall, length, sense)
+    s = float(end) if isinstance(end, float) else wall_exponent(v, wall, length, sense)
     if not s > 0.0:
         raise SolverError(f"wall exponent {s:.6g} at {wall:.6g}: psi ~ d^s needs s > 0")
     return s
@@ -426,13 +420,19 @@ def spectral_bound_states(
       minimum, and a = 2 (2/V''(min))^(1/4), twice the oscillator length of
       the well, or a = inf (uniform nodes) where V'' <= 0 there, as for a
       flat V; so V = 0 on (0, pi) with closed ends is the uniform box with
-      E = n^2. At an open end the nodes reach x_c -+ 3000, or stop at the
-      interval's end where V there is not finite or above 1e6;
+      E = n^2. With an open end, one probe solve at N = 64 on nodes that
+      reach x_c -+ 3000 gives the top level E_top (its continuum edge if
+      that level is not bound); each open end then reaches where
+      int sqrt(V - E_top) dx from the outer turning point is 18 (psi^2 ~
+      e^-36), or 3e4 from x_c where V never rises that far, never short of
+      the interval's end, and stops at the interval's end where V at that
+      reach is not finite or above 1e6;
     - one wall: Lagrange-Laguerre mesh on the half line from that wall, whose
       scales the interval length sets; its far end is always open;
     - two walls: Lagrange-Jacobi mesh on interval.
-    N doubles from 16 (or the first power of two >= count) until every bound
-    level moves by at most SPECTRAL_TOL * max(1, |E|) between N/2 and N. It
+    N doubles from 16 (64 with an open end, or the first power of two >=
+    count) until every bound level moves by at most SPECTRAL_TOL * max(1, |E|)
+    between N/2 and N. It
     stops early, with a warning, at SPECTRAL_CAP or at the rounding floor:
     once a change below ROUNDING_FLOOR grows at the next doubling. At the
     floor it returns the N/2 solve, the better of the two, with its change
@@ -457,6 +457,11 @@ def spectral_bound_states(
         basis = _LaguerreMesh(v, lo, hi, walls)
     else:
         basis = _SineDVR(v, lo, hi, walls)
+        if basis.open.any():
+            # one solve on the probe's reach sizes the open ends; the doubling
+            # then starts again at that size on the fitted map
+            n = max(n, _N_PROBE)
+            basis.fit_open_ends(v, basis.levels(v, n, count)[0])
     prev = basis.levels(v, n, count)
     last = math.inf
     while True:
@@ -481,22 +486,14 @@ def spectral_bound_states(
     grid = Grid(lo, hi, n_points)
     pairs = []
     for i in range(count):
-        sign = _flip_sign(lv.values[:, i])
-        values = sign * lv.values[:, i]
         bound = bool(lv.energies[i] < lv.edge)
         if not bound:
             warnings.warn(f"state {i} is not below V = {lv.edge:.6g} at the far node: not bound", stacklevel=2)
 
-        def build(coef=sign * lv.coef[:, i], psi=lv.psi):
+        def build(coef=lobe_sign(lv.values[:, i]) * lv.coef[:, i], psi=lv.psi):
             return SampledFunction(grid, psi(coef, grid))
 
         pairs.append(
-            EigenPair(
-                float(lv.energies[i]),
-                build,
-                count_nodes(values),
-                bound,
-                float(change[i]),
-            )
+            EigenPair(float(lv.energies[i]), build, count_nodes(lv.values[:, i]), bound, float(change[i]))
         )
     return pairs

@@ -236,6 +236,18 @@ def test_lazy_psi_matches_the_fd_eigenvector(v, interval, walls):
         assert p.nodes == n
 
 
+def test_an_open_end_reaches_a_level_just_below_the_continuum():
+    # -l sech^2 x, l = 0.001: one level at -(sqrt(1/4 + l) - 1/2)^2 = -9.98e-7,
+    # whose psi decays over 1/kappa ~ 1000; the ends reach where it has decayed
+    # (a fixed reach of 3000 boxes it in at +1.006e-7, flagged not bound)
+    lam = 0.001
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        (pair,) = spectral_bound_states(lambda x: -lam / np.cosh(x) ** 2, (-10.0, 10.0), 1, walls=(None, None))
+    assert pair.bound and pair.nodes == 0
+    assert pair.energy == pytest.approx(-((math.sqrt(0.25 + lam) - 0.5) ** 2), abs=1e-12)
+
+
 def test_spectral_psi_on_a_grid_coarser_than_the_basis():
     lv = spectral_bound_states(lambda x: x**2, (-10.0, 10.0), 2, n_points=41)
     x = lv[1].psi.x
@@ -279,13 +291,13 @@ def test_spectral_half_line_with_a_finite_difference_w_prime(w, w_prime, box, ex
     # V1 = W^2 - W' with W' by core's finite differences: the wall exponent is
     # read where their stencil stays inside the half line
     from susyqm.core import Superpotential
-    from susyqm.spectral import _wall_exponent
+    from susyqm.core import wall_exponent
 
     fd = Superpotential(w, domain=(0.0, math.inf))
     analytic = Superpotential(w, domain=(0.0, math.inf), w_prime=w_prime)
     length = box[1] - box[0]
-    alpha = _wall_exponent(analytic.v1, box[0], length)
-    assert _wall_exponent(fd.v1, box[0], length) == pytest.approx(alpha, abs=1e-6)
+    alpha = wall_exponent(analytic.v1, box[0], length)
+    assert wall_exponent(fd.v1, box[0], length) == pytest.approx(alpha, abs=1e-6)
     for n, p in enumerate(spectral_bound_states(fd.v1, box, 3, walls=(True, False))):
         assert p.energy == pytest.approx(exact(n), abs=1e-8)
         assert p.nodes == n

@@ -94,3 +94,19 @@ def test_importing_the_check_suite_loads_no_scipy_and_no_spectral_engine():
     )
     res = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env, timeout=120)
     assert json.loads(res.stdout) == [], res.stderr
+
+
+def test_check_times_the_engine_import_as_its_own_stage():
+    # in a fresh process `check` pays the first import of scipy.linalg and the
+    # engine; it is reported apart, and the first check (the well ladder) is
+    # charged only its own solves
+    env = dict(os.environ)
+    env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
+    res = subprocess.run(
+        [sys.executable, "-m", "susyqm.cli", "check", "--format", "json"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert res.returncode == 0, res.stderr
+    envelope = json.loads(res.stdout)
+    imported = envelope["diagnostics"]["import_seconds"]
+    assert 0.0 < envelope["outputs"]["checks"][0]["seconds"] < imported
