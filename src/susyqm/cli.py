@@ -1,12 +1,16 @@
 """Command-line front end: partner/spectrum/scatter/isospectral/swkb/bands/check/figures.
 
 Outputs are deterministic CSV (17 significant digits) or a JSON envelope that
-echoes the inputs and carries per-operation outputs plus discretization
-diagnostics. Exit codes: 0 success, 1 numeric failure, 2 configuration error;
-inf and nan are refused where numbers are parsed (exit 2). Each distinct
-warning a run raises is printed once on stderr as "warning: ...". A reader
-that closes stdout early (`susyqm check | head -3`) ends the run quietly with
-exit 1. Each subcommand defines only the flags its handler reads.
+echoes every flag of the subcommand with its parsed value, defaults included,
+and carries per-operation outputs plus discretization diagnostics. Each flag
+is parsed once, by its argparse type, and its default is declared with it.
+Units are 2m = 1, so --hbar is the one scale of a --w-expr run; catalog
+potentials take hbar = 1. Exit codes: 0 success, 1 numeric failure, 2
+configuration error; inf and nan are refused where numbers are parsed (exit
+2). Each distinct warning a run raises is printed once on stderr as
+"warning: ...". A reader that closes stdout early (`susyqm check | head -3`)
+ends the run quietly with exit 1. Each subcommand defines only the flags its
+handler reads.
 Only `check` loads scipy (`scipy.linalg`, for the bound-state solvers); the
 other commands load none, and `figures` writes its states in closed form.
 """
@@ -22,7 +26,7 @@ import re
 import sys
 import time
 import warnings
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, replace
 from typing import Optional
 
 import numpy as np
@@ -37,43 +41,20 @@ from .catalog import (
     well_hierarchy_potential,
 )
 from .core import Superpotential
-from .eigensolver import SolverError
 from .expressions import ExpressionError, compile_expression
-from .grids import Grid, GridError
-from .isospectral import IsoFamily, IsospectralError, admissible
+from .grids import Grid
+from .isospectral import IsoFamily, admissible
 from .periodic import LameSpec, PeriodicError, lame_band_edges, lame_potential, numeric_band_edges
-from .scattering import ScatterError, numeric_rt_for
+from .scattering import numeric_rt_for
 
-_NUMERIC_ERRORS = (
-    CatalogError,
-    SolverError,
-    GridError,
-    IsospectralError,
-    PeriodicError,
-    ScatterError,
-    ValueError,  # also swkb.QuantizeError, which is imported only by swkb runs
-    OverflowError,  # a finite parameter too large for the closed forms, e.g. B=1e308
-)
+# every package error subclasses ValueError (swkb.QuantizeError too, which only
+# swkb runs import); OverflowError: a finite parameter too large for the closed
+# forms, e.g. B=1e308
+_NUMERIC_ERRORS = (ValueError, OverflowError)
 
 
 class ConfigError(ValueError):
     pass
-
-
-@dataclass
-class RunConfig:
-    """Echoable run description: one potential source plus output options."""
-
-    subcommand: str
-    potential: Optional[str] = None
-    params: dict = field(default_factory=dict)
-    w_expr: Optional[str] = None
-    grid: Optional[tuple[float, float, int]] = None
-    hbar: float = 1.0
-    mass2: float = 1.0
-    out_format: str = "csv"
-    output: Optional[str] = None
-    extra: dict = field(default_factory=dict)
 
 
 def _fmt(x: float) -> str:
@@ -88,64 +69,25 @@ def _finite(text: str) -> float:
     return value
 
 
-def _parse_params(text: Optional[str]) -> dict:
-    if not text:
-        return {}
-    out = {}
-    for item in text.split(","):
-        if "=" not in item:
-            raise ConfigError(f"parameter {item!r} is not of the form name=value")
-        key, val = item.split("=", 1)
-        val = val.strip()
-        if val == "pi":
-            out[key.strip()] = math.pi
-        else:
-            try:
-                out[key.strip()] = _finite(val)
-            except ValueError as exc:
-                raise ConfigError(f"parameter {key!r} has a value {val!r} that is not a finite number") from exc
-    return out
-
-
-def _parse_grid(text: Optional[str]):
-    if text is None:
-        return None
-    parts = text.split(",")
-    if len(parts) != 3:
-        raise ConfigError("--grid expects lo,hi,n")
-    try:
-        lo, hi, n = _finite(parts[0]), _finite(parts[1]), int(parts[2])
-    except ValueError as exc:
-        raise ConfigError(f"bad --grid value {text!r}") from exc
-    return (lo, hi, n)
-
-
-def _parse_floats(text: str, flag: str) -> list[float]:
-    try:
-        return [_finite(t) for t in text.split(",")]
-    except ValueError as exc:
-        raise ConfigError(f"{flag} expects a comma-separated list of finite numbers") from exc
-
-
 @contextlib.contextmanager
-def _output_stream(cfg: RunConfig):
+def _output_stream(args: argparse.Namespace):
     """stdout, or the --output file (relative paths under $SUSYQM_OUTDIR), closed after use."""
-    if cfg.output is None:
+    if args.output is None:
         yield sys.stdout
         return
-    path = cfg.output
+    path = args.output
     if not os.path.isabs(path):
         path = os.path.join(os.environ.get("SUSYQM_OUTDIR", "."), path)
     with open(path, "w", encoding="utf-8") as stream:
         yield stream
 
 
-def _emit(cfg: RunConfig, columns: list[str], rows: list[list[float]], diagnostics: dict):
-    if cfg.out_format == "json":
+def _emit(args: argparse.Namespace, columns: list[str], rows: list[list[float]], diagnostics: dict):
+    if args.out_format == "json":
         outputs = {"columns": columns, "rows": [[float(v) for v in r] for r in rows]}
-        _emit_json(cfg, outputs, diagnostics)
+        _emit_json(args, outputs, diagnostics)
         return
-    with _output_stream(cfg) as stream:
+    with _output_stream(args) as stream:
         _write_csv(stream, columns, rows)
 
 
@@ -155,53 +97,48 @@ def _write_csv(stream, columns: list[str], rows) -> None:
         stream.write(",".join(_fmt(v) for v in row) + "\n")
 
 
-def _emit_json(cfg: RunConfig, outputs: dict, diagnostics: dict):
-    """The JSON envelope: the inputs echoed, the version, the outputs and diagnostics."""
+def _emit_json(args: argparse.Namespace, outputs: dict, diagnostics: dict):
+    """The JSON envelope: every flag of the run with its parsed value, the version, the outputs and diagnostics."""
     envelope = {
-        "inputs": asdict(cfg),
+        "inputs": {key: value for key, value in vars(args).items() if key != "config"},
         "version": __version__,
         "outputs": outputs,
         "diagnostics": diagnostics,
     }
-    with _output_stream(cfg) as stream:
+    with _output_stream(args) as stream:
         json.dump(envelope, stream, indent=2)
         stream.write("\n")
 
 
-def _refuse_units(cfg: RunConfig) -> None:
-    if cfg.hbar != 1.0 or cfg.mass2 != 1.0:
-        raise ConfigError(
-            "--hbar and --mass2 apply to --w-expr only; catalog potentials use hbar = 2m = 1"
-        )
+def _refuse_units(args: argparse.Namespace) -> None:
+    """Refuse a --hbar other than 1 for a catalog potential (spectrum and swkb define no --hbar)."""
+    if getattr(args, "hbar", 1.0) != 1.0:
+        raise ConfigError("--hbar applies to --w-expr only; catalog potentials use hbar = 2m = 1")
 
 
-def _lookup(cfg: RunConfig):
+def _lookup(args: argparse.Namespace):
     """sip_lookup with name/parameter mistakes reported as configuration errors."""
-    _refuse_units(cfg)
+    _refuse_units(args)
     try:
-        return sip_lookup(cfg.potential, **cfg.params)
+        return sip_lookup(args.potential, **args.params)
     except TypeError as exc:
-        raise ConfigError(f"bad parameters for {cfg.potential!r}: {exc}") from exc
+        raise ConfigError(f"bad parameters for {args.potential!r}: {exc}") from exc
     except CatalogError as exc:
         if "unknown potential" in str(exc):
             raise ConfigError(str(exc)) from exc
         raise
 
 
-def _superpotential_from_config(cfg: RunConfig) -> tuple[Superpotential, Grid]:
-    if (cfg.potential is None) == (cfg.w_expr is None):
+def _superpotential(args: argparse.Namespace) -> tuple[Superpotential, Grid]:
+    if (args.potential is None) == (args.w_expr is None):
         raise ConfigError("choose exactly one of --potential or --w-expr")
-    if cfg.w_expr is not None:
-        if cfg.grid is None:
+    if args.w_expr is not None:
+        if args.grid is None:
             raise ConfigError("--w-expr requires an explicit --grid lo,hi,n")
-        lo, hi, n = cfg.grid
-        w_fn = compile_expression(cfg.w_expr, cfg.params)
-        return (
-            Superpotential(w=w_fn, hbar=cfg.hbar, mass2=cfg.mass2),
-            Grid(lo, hi, n),
-        )
-    entry = _lookup(cfg)
-    grid = Grid(*cfg.grid) if cfg.grid else numeric_grid(entry, 2001)
+        w_fn = compile_expression(args.w_expr, args.params)
+        return Superpotential(w=w_fn, hbar=args.hbar), Grid(*args.grid)
+    entry = _lookup(args)
+    grid = Grid(*args.grid) if args.grid else numeric_grid(entry, 2001)
     return entry.superpotential(), grid
 
 
@@ -210,51 +147,51 @@ def _superpotential_from_config(cfg: RunConfig) -> tuple[Superpotential, Grid]:
 # ---------------------------------------------------------------------------
 
 
-def _cmd_partner(cfg: RunConfig) -> int:
-    grid, series, diagnostics = _partner_series(cfg)
+def _cmd_partner(args: argparse.Namespace) -> int:
+    grid, series, diagnostics = _partner_series(args)
     table = np.column_stack([grid.points] + [np.asarray(s, dtype=float) for s in series.values()])
     bad = ~np.isfinite(table).all(axis=1)
     if bad.any():
         raise ValueError(f"partner output is not finite at x = {_fmt(table[bad][0, 0])}")
     diagnostics = {"n_points": grid.n_points, "h": grid.h, **diagnostics}
-    _emit(cfg, ["x", *series], table.tolist(), diagnostics)
+    _emit(args, ["x", *series], table.tolist(), diagnostics)
     return 0
 
 
-def _partner_series(cfg: RunConfig) -> tuple[Grid, dict, dict]:
-    hierarchy = cfg.extra.get("hierarchy", 0)
-    if cfg.potential == "well":
-        if cfg.w_expr is not None:
+def _partner_series(args: argparse.Namespace) -> tuple[Grid, dict, dict]:
+    hierarchy = args.hierarchy
+    if args.potential == "well":
+        if args.w_expr is not None:
             raise ConfigError("choose exactly one of --potential or --w-expr")
-        _refuse_units(cfg)
-        if set(cfg.params) - {"L"}:
-            raise ConfigError(f"bad parameters for 'well': it takes L only, got {sorted(cfg.params)}")
-        length = cfg.params.get("L", math.pi)
+        _refuse_units(args)
+        if set(args.params) - {"L"}:
+            raise ConfigError(f"bad parameters for 'well': it takes L only, got {sorted(args.params)}")
+        length = args.params.get("L", math.pi)
         if not length > 0:
             raise ConfigError(f"well width L must be positive, got {_fmt(length)}")
         v = well_hierarchy_potential(max(hierarchy, 1) - 1, length)
-        grid = Grid(*cfg.grid) if cfg.grid else Grid(length * 1e-4, length * (1 - 1e-4), 2001)
+        grid = Grid(*args.grid) if args.grid else Grid(length * 1e-4, length * (1 - 1e-4), 2001)
         return grid, {"v": v(grid.points)}, {}
     if hierarchy > 0:
-        if cfg.potential is None:
+        if args.potential is None:
             raise ConfigError("--hierarchy needs a catalog --potential")
-        entry = _lookup(cfg)
+        entry = _lookup(args)
         v, shift = hierarchy_potential(entry, hierarchy)
-        grid = Grid(*cfg.grid) if cfg.grid else numeric_grid(entry, 2001)
+        grid = Grid(*args.grid) if args.grid else numeric_grid(entry, 2001)
         return grid, {"v": v(grid.points)}, {"ground_energy_shift": shift}
-    w, grid = _superpotential_from_config(cfg)
+    w, grid = _superpotential(args)
     x = grid.points
     return grid, {"w": w.w(x), "v1": w.v1(x), "v2": w.v2(x)}, {}
 
 
-def _cmd_spectrum(cfg: RunConfig) -> int:
-    if cfg.potential is None:
+def _cmd_spectrum(args: argparse.Namespace) -> int:
+    if args.potential is None:
         raise ConfigError("spectrum needs a catalog --potential")
-    entry = _lookup(cfg)
-    spec, truncated = sip_spectrum(entry, cfg.extra["levels"] - 1)
+    entry = _lookup(args)
+    spec, truncated = sip_spectrum(entry, args.levels - 1)
     rows = [[n, e] for n, e in enumerate(spec)]
     _emit(
-        cfg,
+        args,
         ["n", "energy"],
         rows,
         {"bound_states": entry.n_bound, "truncated": bool(truncated)},
@@ -262,28 +199,24 @@ def _cmd_spectrum(cfg: RunConfig) -> int:
     return 0
 
 
-def _cmd_scatter(cfg: RunConfig) -> int:
-    ks = _parse_floats(cfg.extra.get("k", "0.5,1,2"), "--k")
+def _cmd_scatter(args: argparse.Namespace) -> int:
+    ks = args.k
     if any(k <= 0 for k in ks):
-        raise ConfigError(f"--k must be positive incident momenta, got {cfg.extra['k']}")
-    w, grid = _superpotential_from_config(cfg)
-    if w.w_minus is None and cfg.w_expr is not None:
+        raise ConfigError(f"--k must be positive incident momenta, got {_fmt(min(ks))}")
+    w, grid = _superpotential(args)
+    if w.w_minus is None and args.w_expr is not None:
         wm = float(w.w(np.array(grid.x_min)))
         wp = float(w.w(np.array(grid.x_max)))
-        w = Superpotential(
-            w=w.w, hbar=w.hbar, mass2=w.mass2, w_minus=wm, w_plus=wp, domain=w.domain
-        )
+        w = replace(w, w_minus=wm, w_plus=wp)
     if w.w_minus is None or w.w_plus is None:
         raise ConfigError(
-            f"potential {cfg.potential!r} has no finite superpotential asymptotes; "
+            f"potential {args.potential!r} has no finite superpotential asymptotes; "
             "scattering needs a full-line entry such as sech2 or rosen_morse2"
         )
-    side = cfg.extra["side"]
-    steps = cfg.extra["steps"]
     rows, flux_defect = [], []
     for k in ks:
         energy = (w.c * k) ** 2 + float(w.w_minus) ** 2
-        amp = numeric_rt_for(w, side, energy, grid.x_min, grid.x_max, n_steps=steps)
+        amp = numeric_rt_for(w, args.side, energy, grid.x_min, grid.x_max, n_steps=args.steps)
         flux_defect.append(amp.flux_defect)
         rows.append(
             [
@@ -301,20 +234,20 @@ def _cmd_scatter(cfg: RunConfig) -> int:
     if bad.any():
         raise ValueError(f"scatter output is not finite at k = {_fmt(np.asarray(ks)[bad][0])}")
     _emit(
-        cfg,
+        args,
         ["k", "energy", "re_r", "im_r", "re_t", "im_t", "prob_r", "prob_t"],
         rows,
-        {"window": [grid.x_min, grid.x_max], "side": side, "flux_defect": flux_defect},
+        {"window": [grid.x_min, grid.x_max], "side": args.side, "flux_defect": flux_defect},
     )
     return 0
 
 
-def _cmd_isospectral(cfg: RunConfig) -> int:
-    lams = _parse_floats(cfg.extra.get("lambdas", "0.5,1,5"), "--lambdas")
-    bad = [lam for lam in lams if math.isfinite(lam) and not admissible(lam)]
+def _cmd_isospectral(args: argparse.Namespace) -> int:
+    lams = args.lambdas
+    bad = [lam for lam in lams if not admissible(lam)]
     if bad:
         raise ConfigError(f"--lambdas {_fmt(bad[0])} is not admissible: need lam > 0 or lam < -1")
-    w, grid = _superpotential_from_config(cfg)
+    w, grid = _superpotential(args)
     fam = IsoFamily.build(w, grid)
     columns = ["x"]
     series = [grid.points]
@@ -322,17 +255,17 @@ def _cmd_isospectral(cfg: RunConfig) -> int:
         columns += [f"v_lam_{lam:g}", f"psi0_lam_{lam:g}"]
         series += [fam.potential(lam).values, fam.ground_state(lam).values]
     rows = [list(t) for t in zip(*series)]
-    _emit(cfg, columns, rows, {"n_points": grid.n_points, "h": grid.h, "lambdas": lams})
+    _emit(args, columns, rows, {"n_points": grid.n_points, "h": grid.h, "lambdas": lams})
     return 0
 
 
-def _cmd_swkb(cfg: RunConfig) -> int:
+def _cmd_swkb(args: argparse.Namespace) -> int:
     from .swkb import Mode, WKB_APPLICABLE, problem_for_entry, quantize
 
-    if cfg.potential is None:
+    if args.potential is None:
         raise ConfigError("swkb needs a catalog --potential")
-    entry = _lookup(cfg)
-    spec, truncated = sip_spectrum(entry, cfg.extra["levels"] - 1)
+    entry = _lookup(args)
+    spec, truncated = sip_spectrum(entry, args.levels - 1)
     prob_s = problem_for_entry(entry, Mode.SWKB_V1, e_top=spec[-1])
     prob_w = problem_for_entry(entry, Mode.WKB, e_top=spec[-1]) if entry.name in WKB_APPLICABLE else None
     rows = []
@@ -341,7 +274,7 @@ def _cmd_swkb(cfg: RunConfig) -> int:
         e_wkb = quantize(prob_w, n) if prob_w is not None else math.nan
         rows.append([n, e_exact, e_swkb, e_wkb])
     _emit(
-        cfg,
+        args,
         ["n", "e_exact", "e_swkb", "e_wkb"],
         rows,
         {"entry": entry.name, "bound_states": entry.n_bound, "truncated": bool(truncated)},
@@ -352,21 +285,15 @@ def _cmd_swkb(cfg: RunConfig) -> int:
 _BANDS_SOURCES = "choose --lame a=N [--m M] or --v-expr EXPR --period P [--params k=v,...]"
 
 
-def _cmd_bands(cfg: RunConfig) -> int:
-    lame = cfg.extra.get("lame")
-    count = cfg.extra.get("count")
-    expr = cfg.extra.get("v_expr")
-    period = cfg.extra.get("period")
-    if lame:
-        stray = {"--v-expr": expr, "--period": period, "--params": cfg.params or None}
+def _cmd_bands(args: argparse.Namespace) -> int:
+    count = args.count
+    if args.lame is not None:
+        stray = {"--v-expr": args.v_expr, "--period": args.period, "--params": args.params or None}
         for flag, value in stray.items():
             if value is not None:
                 raise ConfigError(f"{flag} does not apply to --lame; {_BANDS_SOURCES}")
-        try:
-            a = int(str(lame).split("=")[-1])
-        except ValueError as exc:
-            raise ConfigError(f"bad --lame value {lame!r}") from exc
-        m = cfg.extra.get("m", 0.5)
+        a = args.lame
+        m = 0.5 if args.m is None else args.m
         try:
             spec = LameSpec(a, m)
         except PeriodicError as exc:
@@ -380,30 +307,31 @@ def _cmd_bands(cfg: RunConfig) -> int:
             exact = analytic[i].energy if analytic and i < len(analytic) else math.nan
             rows.append([edge.energy, exact, 0.0 if edge.period_tag == "L" else 1.0, edge.nodes_per_period])
         _emit(
-            cfg,
+            args,
             ["energy", "energy_closed_form", "antiperiodic", "nodes_per_period"],
             rows,
             {"a": a, "m": m, "period": spec.period},
         )
         return 0
-    if not expr or period is None:
+    period = args.period
+    if not args.v_expr or period is None:
         raise ConfigError(f"bands needs a potential: {_BANDS_SOURCES}")
-    if "m" in cfg.extra:
+    if args.m is not None:
         raise ConfigError(f"--m does not apply to --v-expr; {_BANDS_SOURCES}")
     if period <= 0:
         raise ConfigError(f"--period must be positive, got {_fmt(period)}")
-    v = compile_expression(expr, cfg.params)
+    v = compile_expression(args.v_expr, args.params)
     n_edges = 5 if count is None else count
     numeric = numeric_band_edges(v, period, n_edges, n_points=1201)
     rows = [
         [e.energy, 0.0 if e.period_tag == "L" else 1.0, e.nodes_per_period] for e in numeric
     ]
-    _emit(cfg, ["energy", "antiperiodic", "nodes_per_period"], rows, {"period": period})
+    _emit(args, ["energy", "antiperiodic", "nodes_per_period"], rows, {"period": period})
     return 0
 
 
-def _cmd_figures(cfg: RunConfig) -> int:
-    outdir = cfg.extra.get("outdir") or os.environ.get("SUSYQM_OUTDIR", ".")
+def _cmd_figures(args: argparse.Namespace) -> int:
+    outdir = args.outdir or os.environ.get("SUSYQM_OUTDIR", ".")
     os.makedirs(outdir, exist_ok=True)
     manifest = {
         "box_and_singular_partner.csv": "flat box and its inverse-square partner with their two lowest states",
@@ -446,7 +374,7 @@ def _cmd_figures(cfg: RunConfig) -> int:
     return 0
 
 
-def _cmd_check(cfg: RunConfig) -> int:
+def _cmd_check(args: argparse.Namespace) -> int:
     # the suite and the spectral engine (with scipy.linalg) are imported as a
     # stage of their own, so the first check's time is its own work
     start = time.perf_counter()
@@ -454,13 +382,13 @@ def _cmd_check(cfg: RunConfig) -> int:
     from .selfcheck import run_all
 
     import_seconds = time.perf_counter() - start
-    if cfg.out_format == "json":
+    if args.out_format == "json":
         results = run_all()
         checks = [asdict(r) for r in results]
         diagnostics = {"seconds": sum(r.seconds for r in results), "import_seconds": import_seconds}
-        _emit_json(cfg, {"checks": checks}, diagnostics)
+        _emit_json(args, {"checks": checks}, diagnostics)
     else:  # one line per check as it finishes
-        with _output_stream(cfg) as stream:
+        with _output_stream(args) as stream:
             results = run_all(lambda line: print(line, file=stream))
     return 0 if all(r.passed for r in results) else 1
 
@@ -477,26 +405,56 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(f"{self.prog}: {message}")
 
 
+def _typed(expected: str, parse):
+    """argparse type: parse(text), with a ValueError reported as 'expected <expected>, got <text>'."""
+
+    def typed(text: str):
+        try:
+            return parse(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}") from None
+
+    return typed
+
+
 def _int_from(lowest: int):
     """argparse type: an integer no smaller than lowest."""
 
     def parse(text: str) -> int:
-        try:
-            if int(text) >= lowest:
-                return int(text)
-        except ValueError:
-            pass
-        raise argparse.ArgumentTypeError(f"expected an integer >= {lowest}, got {text!r}")
+        value = int(text)
+        if value < lowest:
+            raise ValueError(text)
+        return value
 
-    return parse
+    return _typed(f"an integer >= {lowest}", parse)
 
 
-def _finite_float(text: str) -> float:
-    """argparse type: a finite float."""
-    try:
-        return _finite(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}") from None
+def _positive(text: str) -> float:
+    value = _finite(text)
+    if not value > 0:
+        raise ValueError(text)
+    return value
+
+
+def _param(item: str) -> tuple[str, float]:
+    key, value = item.split("=", 1)  # an item without "=" is a ValueError
+    return key.strip(), math.pi if value.strip() == "pi" else _finite(value)
+
+
+def _lo_hi_n(text: str) -> tuple[float, float, int]:
+    lo, hi, n = text.split(",")  # other than three fields is a ValueError
+    return _finite(lo), _finite(hi), int(n)
+
+
+_finite_float = _typed("a finite number", _finite)
+_positive_float = _typed("a positive finite number", _positive)
+_floats = _typed("a comma-separated list of finite numbers", lambda text: [_finite(t) for t in text.split(",")])
+_params = _typed(
+    "comma-separated name=value pairs with finite values",
+    lambda text: dict(map(_param, text.split(","))) if text else {},
+)
+_grid = _typed("lo,hi,n with finite lo and hi and an integer n", _lo_hi_n)
+_lame = _typed("a=N with an integer N", lambda text: int(text.removeprefix("a=")))
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -509,15 +467,17 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"susyqm {__version__}")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
+    def params(p):
+        p.add_argument("--params", type=_params, default={}, help="comma-separated name=value parameters")
+
     def catalog(p):
         p.add_argument("--potential", help="catalog entry name")
-        p.add_argument("--params", help="comma-separated name=value parameters")
+        params(p)
 
     def inline(p):
         p.add_argument("--w-expr", dest="w_expr", help="inline superpotential expression in x")
-        p.add_argument("--grid", help="lo,hi,n sampling grid")
-        p.add_argument("--hbar", type=_finite_float, default=1.0)
-        p.add_argument("--mass2", type=_finite_float, default=1.0, help="2m in chosen units")
+        p.add_argument("--grid", type=_grid, help="lo,hi,n sampling grid")
+        p.add_argument("--hbar", type=_positive_float, default=1.0, help="hbar of --w-expr, in units 2m = 1")
 
     def output(p):
         p.add_argument("--format", dest="out_format", choices=("csv", "json"), default="csv")
@@ -532,29 +492,35 @@ def _build_parser() -> argparse.ArgumentParser:
         return p
 
     p = add("partner", "partner potentials, or a hierarchy member", catalog, inline, output)
-    p.add_argument("--hierarchy", type=_int_from(0), help="emit the s-th hierarchy member")
+    p.add_argument("--hierarchy", type=_int_from(0), default=0, help="emit the s-th hierarchy member")
 
     p = add("spectrum", "closed-form bound spectrum of a catalog entry", catalog, output)
     p.add_argument("--levels", type=_int_from(1), default=6)
 
     p = add("scatter", "reflection/transmission amplitudes", catalog, inline, output)
-    p.add_argument("--k", help="comma-separated positive incident momenta (default 0.5,1,2)")
+    p.add_argument(
+        "--k", type=_floats, default="0.5,1,2", help="comma-separated positive incident momenta (default %(default)s)"
+    )
     p.add_argument("--side", type=int, choices=(1, 2), default=1)
     p.add_argument("--steps", type=_int_from(1), default=8000)
 
     p = add("isospectral", "one-parameter isospectral family curves", catalog, inline, output)
-    p.add_argument("--lambdas", help="comma-separated deformation parameters, each > 0 or < -1")
+    p.add_argument(
+        "--lambdas",
+        type=_floats,
+        default="0.5,1,5",
+        help="comma-separated deformation parameters, each > 0 or < -1 (default %(default)s)",
+    )
 
     p = add("swkb", "semiclassical vs exact level table", catalog, output)
     p.add_argument("--levels", type=_int_from(1), default=4)
 
-    p = add("bands", "band edges of a periodic well", output)
-    p.add_argument("--lame", help="a=1 or a=2 elliptic well")
-    p.add_argument("--m", type=_finite_float, help="elliptic parameter of --lame, in (0,1)")
+    p = add("bands", "band edges of a periodic well", output, params)
+    p.add_argument("--lame", type=_lame, help="a=1 or a=2 elliptic well")
+    p.add_argument("--m", type=_finite_float, help="elliptic parameter of --lame, in (0,1); default 0.5")
     p.add_argument("--count", type=_int_from(1), help="number of edges")
     p.add_argument("--v-expr", dest="v_expr", help="inline periodic potential expression")
     p.add_argument("--period", type=_finite_float, help="period of --v-expr, > 0")
-    p.add_argument("--params", help="comma-separated name=value parameters of --v-expr")
 
     p = add("figures", "write plot-ready data files plus a manifest")
     p.add_argument("--outdir", help="output directory (default: SUSYQM_OUTDIR or .)")
@@ -573,23 +539,6 @@ _DISPATCH = {
     "figures": _cmd_figures,
     "check": _cmd_check,
 }
-
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    named = {f.name for f in fields(RunConfig)} | {"config"}
-    given = vars(args)
-    return RunConfig(
-        subcommand=args.subcommand,
-        potential=given.get("potential"),
-        params=_parse_params(given.get("params")),
-        w_expr=given.get("w_expr"),
-        grid=_parse_grid(given.get("grid")),
-        hbar=given.get("hbar", 1.0),
-        mass2=given.get("mass2", 1.0),
-        out_format=given.get("out_format", "csv"),
-        output=given.get("output"),
-        extra={k: v for k, v in given.items() if k not in named and v is not None},
-    )
-
 
 def _config_flags(path: str, known: set) -> list[str]:
     """The config file's keys as --flag=value tokens, checked like typed flags.
@@ -654,7 +603,6 @@ def _run(argv: Optional[list[str]]) -> int:
             i = argv.index(args.subcommand) + 1
             file_flags = _config_flags(args.config, set(vars(args)))
             args = parser.parse_args(argv[:i] + file_flags + argv[i:])
-        cfg = _config_from_args(args)
     except SystemExit:  # --help and --version; bad flags raise ConfigError
         return 0
     except ConfigError as exc:
@@ -663,14 +611,14 @@ def _run(argv: Optional[list[str]]) -> int:
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         try:
-            code = _DISPATCH[cfg.subcommand](cfg)
+            code = _DISPATCH[args.subcommand](args)
         except BrokenPipeError:  # a closed stdout, for main to end quietly
             raise
         except (ConfigError, ExpressionError, OSError) as exc:  # OSError: an unwritable output
             print(f"configuration error: {exc}", file=sys.stderr)
             return 2
         except _NUMERIC_ERRORS as exc:  # its one line, without the warnings that led to it
-            print(f"numeric failure in {cfg.subcommand}: {exc}", file=sys.stderr)
+            print(f"numeric failure in {args.subcommand}: {exc}", file=sys.stderr)
             return 1
     for message in dict.fromkeys(str(w.message) for w in caught):
         print(f"warning: {message}", file=sys.stderr)

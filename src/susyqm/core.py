@@ -6,6 +6,7 @@ and the first-order operators
     A = c d/dx + W,    Adag = -c d/dx + W,
 which factorize H1 = Adag A and H2 = A Adag. When SUSY is unbroken, H1 has the
 zero mode exp(-(1/c) \\int W) and A / Adag map eigenstates between the partners.
+Units are 2m = 1, so c = hbar is the one scale; the catalog's closed forms take hbar = 1.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ class SusyError(ValueError):
 
 @dataclass(frozen=True)
 class Superpotential:
-    """W(x) with units and asymptotics.
+    """W(x) with its hbar (in units 2m = 1) and asymptotics.
 
     w is a vectorized callable; w_prime is its analytic derivative when
     available (finite differences are used otherwise). domain is the open
@@ -45,14 +46,13 @@ class Superpotential:
     domain: tuple[float, float] = (-math.inf, math.inf)
     w_prime: Optional[Callable[[np.ndarray], np.ndarray]] = None
     hbar: float = 1.0
-    mass2: float = 1.0  # 2m
     w_minus: Optional[float] = None
     w_plus: Optional[float] = None
 
     @property
     def c(self) -> float:
-        """The derivative coefficient hbar / sqrt(2m)."""
-        return self.hbar / math.sqrt(self.mass2)
+        """The derivative coefficient hbar / sqrt(2m), which is hbar at 2m = 1."""
+        return self.hbar
 
     def w_prime_at(self, x: np.ndarray) -> np.ndarray:
         if self.w_prime is not None:

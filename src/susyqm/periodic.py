@@ -28,22 +28,25 @@ class PeriodicError(ValueError):
     pass
 
 
-def classify_pair(
-    v1: Callable, v2: Callable, period: float, n_shifts: int = 1000, tol: float = 1e-8
-) -> tuple[str, Optional[float]]:
+# classify_pair's shifts per period, and its max-norm tolerance relative to max(1, max|V2|)
+_N_SHIFTS = 1000
+_PAIR_TOL = 1e-8
+
+
+def classify_pair(v1: Callable, v2: Callable, period: float) -> tuple[str, Optional[float]]:
     """Numeric classifier: is V2 a shift or a reflected shift of V1?
 
-    Tests n_shifts translations per period (and the same with reflection) and
-    reports ("translation", s), ("reflection", s) or ("neither", None), s
-    being the first shift whose samples fit closest in the max norm, within
-    tol times max(1, max|V2|). A pair that is both (V2 = V1(x + s) =
-    V1(s' - x)) is a translation. One circular FFT correlation per kind gives
-    every shift's misfit sum (V1 shifted - V2)^2; a shift that passes the
-    max-norm test has a misfit at most n_shifts (tol scale)^2, so only the
-    shifts within that, plus an FFT rounding slack, are tested in the max
-    norm. A sampling test, not a proof.
+    Tests n = _N_SHIFTS translations per period (and the same with
+    reflection) and reports ("translation", s), ("reflection", s) or
+    ("neither", None), s being the first shift whose samples fit closest in
+    the max norm, within tol = _PAIR_TOL times max(1, max|V2|). A pair that is
+    both (V2 = V1(x + s) = V1(s' - x)) is a translation. One circular FFT
+    correlation per kind gives every shift's misfit sum (V1 shifted - V2)^2;
+    a shift that passes the max-norm test has a misfit at most n (tol scale)^2,
+    so only the shifts within that, plus an FFT rounding slack, are tested in
+    the max norm. A sampling test, not a proof.
     """
-    n = n_shifts
+    n, tol = _N_SHIFTS, _PAIR_TOL
     x = np.linspace(0.0, period, n, endpoint=False)
     t1 = np.asarray(v1(x), dtype=float)
     t2 = np.asarray(v2(x), dtype=float)
@@ -78,7 +81,6 @@ class BandEdge:
     energy: float
     period_tag: str  # "L" (periodic over one period) or "2L" (antiperiodic)
     nodes_per_period: int
-    which_band_boundary: str  # bottom | top | continuum-bottom
 
 
 @dataclass(frozen=True)
@@ -144,13 +146,7 @@ def _tag_edges(energies: list[float]) -> list[BandEdge]:
     for i, e in enumerate(energies):
         nodes = (i + 1) // 2
         tag = "L" if (i + 1) // 2 % 2 == 0 else "2L"
-        if i == len(energies) - 1 and len(energies) % 2 == 1:
-            boundary = "continuum-bottom"
-        elif i == 0:
-            boundary = "bottom"
-        else:
-            boundary = "top" if i % 2 == 1 else "bottom"
-        edges.append(BandEdge(float(e), tag, nodes, boundary))
+        edges.append(BandEdge(float(e), tag, nodes))
     return edges
 
 

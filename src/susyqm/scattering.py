@@ -3,9 +3,10 @@
 For a superpotential with finite asymptotes W(-inf) = W-, W(+inf) = W+, the
 partner potentials share the continuum above max(W-^2, W+^2) and their
 amplitudes are related by pure phase factors:
-    R1 = (W- + i k) / (W- - i k) * R2,
-    T1 = (W+ - i k') / (W- - i k) * T2,
-with k = sqrt(E - W-^2), k' = sqrt(E - W+^2). Repeated use along a chain
+    R1 = (W- + i c k) / (W- - i c k) * R2,
+    T1 = (W+ - i c k') / (W- - i c k) * T2,
+with c k = sqrt(E - W-^2), c k' = sqrt(E - W+^2), in units 2m = 1 where
+c = hbar. Repeated use along a chain
 ending at the free particle produces closed-form amplitudes, e.g. the
 reflectionless sech^2 family.
 
@@ -156,15 +157,15 @@ def numeric_rt(
     v_right: float = None,
     n_steps: int = 20000,
     hbar: float = 1.0,
-    mass2: float = 1.0,
 ) -> ScatterAmplitudes:
     """Direct amplitudes from the RK4 transfer matrix of the window.
 
     Propagates a pure transmitted wave t e^{ik'x} from x_right to x_left with
     propagate() and matches it onto e^{ikx} + r e^{-ikx} there. v_left /
-    v_right default to the sampled potential at the window edges.
+    v_right default to the sampled potential at the window edges. Units are
+    2m = 1, so the wave equation is -hbar^2 psi'' + V psi = E psi.
     """
-    c2 = hbar**2 / mass2
+    c2 = hbar**2
     if v_left is None:
         v_left = float(v_callable(np.array(x_left)))
     if v_right is None:
@@ -199,5 +200,5 @@ def numeric_rt_for(
     wm, wp = _asymptotes(w)
     v = w.v1 if side == 1 else w.v2
     return numeric_rt(
-        v, energy, x_left, x_right, v_left=wm**2, v_right=wp**2, hbar=w.hbar, mass2=w.mass2, **kw
+        v, energy, x_left, x_right, v_left=wm**2, v_right=wp**2, hbar=w.hbar, **kw
     )

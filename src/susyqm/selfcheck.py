@@ -212,7 +212,7 @@ def check_swkb_exactness() -> CheckResult:
     """SWKB reproduces every catalog spectrum; plain WKB only the two known wells."""
     name = "SWKB exactness across the catalog"
     entries = [sip_lookup(n) for n in CATALOG_NAMES]
-    rows = exactness_audit(entries, n_max=5)
+    rows = exactness_audit(entries)
     bad = [r for r in rows if not r.exact]
     if bad:
         r = bad[0]

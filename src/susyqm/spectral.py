@@ -139,8 +139,9 @@ class _SineDVR:
     the interval's centre where the samples are mirror-symmetric (so an even
     V keeps the parity blocks), else their minimum, and a = 2 (2/V'')^(1/4),
     twice the oscillator length of V's curvature at that minimum (psi_0 ~
-    exp(-x^2 / 2 l^2) with l = (2/V'')^(1/4)), or a = inf, the uniform grid
-    x = x_c + s, where V'' <= 0 there, as for a flat V. On the 160
+    exp(-x^2 / 2 l^2) with l = (2/V'')^(1/4)). Where V'' <= 0 there, a = 2
+    |V'|^(-1/3), twice the Airy length of V's slope, and a = inf, the uniform
+    grid x = x_c + s, only where V is flat at the minimum. On the 160
     whole-line catalog draws of perfbench's seeds 1-10, a = 2 l and 2.5 l
     converge by N = 256 and a = 3 l needs N = 512 for two of them; at a = l
     the median level error was 1.8 times that at 2 l (seeds 1-5). An end of
@@ -156,8 +157,11 @@ class _SineDVR:
         vx = _values(v, x)
         i = int(np.clip(np.argmin(np.nan_to_num(vx, nan=math.inf)), 1, 2 * _SAMPLES - 1))
         curvature = (vx[i - 1] - 2.0 * vx[i] + vx[i + 1]) * (_SAMPLES / half) ** 2
+        slope = abs(vx[i + 1] - vx[i - 1]) * _SAMPLES / (2.0 * half)
         self.xc = mid if np.array_equal(vx, vx[::-1]) else x[i]
-        self.a = 2.0 * (2.0 / curvature) ** 0.25 if curvature > 0 else math.inf
+        self.a = (
+            2.0 * (2.0 / curvature) ** 0.25 if curvature > 0 else 2.0 * slope ** (-1 / 3) if slope > 0 else math.inf
+        )
         self.open = np.array([w is None for w in walls])
         self.interval = np.array([lo, hi])
         self._reach(v, _PROBE_REACH)
@@ -387,15 +391,12 @@ class _JacobiMesh(_WallMesh):
         return 1.0 - y * y, a * np.log1p(-y) + b * np.log1p(y), b / (1.0 + y) - a / (1.0 - y), ratio
 
 
-def _change(a: _Levels, b: _Levels) -> np.ndarray:
-    return np.abs(b.energies - a.energies) / np.maximum(1.0, np.abs(b.energies))
-
-
 def _score(a: _Levels, b: _Levels) -> tuple:
     """Most levels resolved at N first, then the smallest worst relative change
     among them; a level resolved at N but not at N/2 has not converged."""
     resolved = b.energies < b.edge
-    change = np.where(a.energies < a.edge, _change(a, b), math.inf)[resolved]
+    change = np.abs(b.energies - a.energies) / np.maximum(1.0, np.abs(b.energies))
+    change = np.where(a.energies < a.edge, change, math.inf)[resolved]
     return (-int(resolved.sum()), float(np.max(change, initial=0.0)))
 
 

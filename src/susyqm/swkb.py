@@ -1,11 +1,12 @@
 """Semiclassical quantizers: ordinary WKB and the SUSY-inspired SWKB rule.
 
 For a single-well profile U(x) (U = V for WKB, U = W^2 for SWKB) the action
-    S(E) = int_a^b sqrt(2m (E - U)) dx,   U(a) = U(b) = E,
-is monotone in E and the quantization targets are
-    WKB:      S = (n + 1/2) pi hbar,
-    SWKB V1:  S = n pi hbar,
-    SWKB V2:  S = (n + 1) pi hbar.
+    S(E) = int_a^b sqrt(E - U) dx,   U(a) = U(b) = E,
+in the catalog's units hbar = 2m = 1, is monotone in E and the quantization
+targets are
+    WKB:      S = (n + 1/2) pi,
+    SWKB V1:  S = n pi,
+    SWKB V2:  S = (n + 1) pi.
 The inverse-square-root endpoint singularity is removed by the substitution
 x = mid + halfwidth * sin(theta), after which Gauss-Legendre quadrature
 converges spectrally. The turning points and the level energy are both
@@ -38,6 +39,8 @@ from .catalog import SipEntry, numeric_grid, sip_spectrum
 _N_SCAN = 4000
 # Gauss-Legendre nodes of the action integral
 _N_QUAD = 256
+# the highest level exactness_audit compares
+_AUDIT_N_MAX = 5
 
 
 class QuantizeError(ValueError):
@@ -123,7 +126,7 @@ class Mode(Enum):
 
 @dataclass(frozen=True)
 class QuantizationProblem:
-    """A semiclassical level problem on a finite search window.
+    """A semiclassical level problem on a finite search window, at hbar = 2m = 1.
 
     profile is V(x) for WKB and W(x) for the SWKB modes; the well that enters
     the action is V or W^2 accordingly. window must contain both turning
@@ -133,8 +136,6 @@ class QuantizationProblem:
     mode: Mode
     profile: Callable[[np.ndarray], np.ndarray]
     window: tuple[float, float]
-    hbar: float = 1.0
-    mass2: float = 1.0
 
     def well(self, x):
         u = np.asarray(self.profile(np.asarray(x, dtype=float)), dtype=float)
@@ -155,7 +156,7 @@ class QuantizationProblem:
         if n < 0:
             raise QuantizeError("level index must be non-negative")
         offset = {Mode.WKB: 0.5, Mode.SWKB_V1: 0.0, Mode.SWKB_V2: 1.0}[self.mode]
-        return (n + offset) * math.pi * self.hbar
+        return (n + offset) * math.pi
 
 
 @lru_cache(maxsize=None)
@@ -207,14 +208,14 @@ def turning_points(problem: QuantizationProblem, energy: float) -> tuple[float, 
 
 
 def action_integral(problem: QuantizationProblem, energy: float) -> float:
-    """S(E) = int_a^b sqrt(2m (E - U)) dx with singularity-free quadrature."""
+    """S(E) = int_a^b sqrt(E - U) dx with singularity-free quadrature."""
     well_min = float(problem.scan[1].min())
     if energy <= well_min + 1e-14 * max(1.0, abs(well_min)):
         return 0.0
     a, b = turning_points(problem, energy)
     mid, halfw = 0.5 * (a + b), 0.5 * (b - a)
     nodes, weights = _sine_gauss_rule(_N_QUAD)
-    integrand = problem.mass2 * (energy - problem.well(mid + halfw * nodes))
+    integrand = energy - problem.well(mid + halfw * nodes)
     return halfw * float(weights @ np.sqrt(np.maximum(integrand, 0.0)))
 
 
@@ -291,9 +292,7 @@ def problem_for_entry(
     g = numeric_grid(entry, n_points)
     w = entry.superpotential()
     profile = w.w if mode is not Mode.WKB else (lambda x: w.v1(x))
-    prob = QuantizationProblem(
-        mode=mode, profile=profile, window=(g.x_min, g.x_max), hbar=w.hbar, mass2=w.mass2
-    )
+    prob = QuantizationProblem(mode=mode, profile=profile, window=(g.x_min, g.x_max))
     if e_top is None:
         return prob
     window = [g.x_min, g.x_max]
@@ -308,11 +307,11 @@ def problem_for_entry(
     return replace(prob, window=tuple(window))
 
 
-def exactness_audit(entries: list[SipEntry], n_max: int = 5) -> list[AuditRow]:
-    """Per-entry, per-level comparison of SWKB (and WKB where sensible) to E_n."""
+def exactness_audit(entries: list[SipEntry]) -> list[AuditRow]:
+    """Per-entry comparison of SWKB (and WKB where sensible) to E_n for n <= _AUDIT_N_MAX."""
     rows = []
     for entry in entries:
-        spec, _ = sip_spectrum(entry, n_max)
+        spec, _ = sip_spectrum(entry, _AUDIT_N_MAX)
         prob = problem_for_entry(entry, Mode.SWKB_V1, e_top=spec[-1])
         for n, e_exact in enumerate(spec):
             rows.append(AuditRow(entry.name, "swkb", n, e_exact, quantize(prob, n)))

@@ -93,11 +93,19 @@ def test_scatter_reports_flux_defect_per_k(capsys):
 
 
 def test_scatter_units_rejected_for_catalog_potential(capsys):
-    for flag in ("--hbar", "--mass2"):
-        code = main(["scatter", "--potential", "sech2", flag, "2"])
-        err = capsys.readouterr().err
-        assert code == 2
-        assert "--w-expr only" in err and len(err.strip().splitlines()) == 1
+    code = main(["scatter", "--potential", "sech2", "--hbar", "2"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "--w-expr only" in err and len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("subcommand", ["partner", "scatter", "isospectral"])
+def test_mass2_is_not_a_flag(capsys, subcommand):
+    # units are 2m = 1: hbar is the one scale, and --mass2 M is --hbar 1/sqrt(M)
+    code = main([subcommand, "--w-expr", "2*tanh(x)", "--grid=-16,16,2001", "--mass2", "0.25"])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err == "configuration error: susyqm: unrecognized arguments: --mass2 0.25\n"
 
 
 def test_scatter_non_finite_potential_is_a_numeric_failure(capsys):
@@ -111,7 +119,10 @@ def test_scatter_non_finite_momentum_is_a_configuration_error(capsys):
     code = main(["scatter", "--potential", "sech2", "--k", "nan"])
     out, err = capsys.readouterr()
     assert code == 2
-    assert out == "" and err == "configuration error: --k expects a comma-separated list of finite numbers\n"
+    assert out == "" and err == (
+        "configuration error: susyqm scatter: argument --k: "
+        "expected a comma-separated list of finite numbers, got 'nan'\n"
+    )
 
 
 @pytest.mark.parametrize(
@@ -339,6 +350,25 @@ def test_config_sets_every_key_and_explicit_flags_win(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "argv, flag, value",
+    [
+        (["scatter", "--potential", "sech2", "--params", "B=1"], "k", [0.5, 1.0, 2.0]),
+        (["isospectral", "--potential", "shifted_oscillator"], "lambdas", [0.5, 1.0, 5.0]),
+        (["partner", "--potential", "sech2"], "hierarchy", 0),
+        (["partner", "--w-expr", "x", "--grid=-1,1,5", "--params", "A=pi"], "params", {"A": math.pi}),
+        (["bands", "--lame", "a=2"], "lame", 2),
+    ],
+    ids=["k", "lambdas", "hierarchy", "params", "lame"],
+)
+def test_the_envelope_echoes_every_flag_with_its_parsed_value(capsys, argv, flag, value):
+    code, out = run(capsys, *argv, "--format", "json")
+    assert code == 0
+    inputs = json.loads(out)["inputs"]
+    assert inputs[flag] == value
+    assert "config" not in inputs and inputs["subcommand"] == argv[0]
+
+
+@pytest.mark.parametrize(
     "subcommand, bad",
     [("spectrum", {"levels": "many"}), ("spectrum", {"k": "1"}), ("scatter", {"side": 3})],
 )
@@ -397,10 +427,16 @@ def test_sech_and_csch_past_the_overflow_of_cosh_and_sinh_print_no_warning(capsy
         ["scatter", "--potential", "sech2", "--k", "0"],
         ["isospectral", "--potential", "sech2", "--lambdas", "1,-0.5"],
         ["isospectral", "--potential", "sech2", "--lambdas", "-1"],
+        ["scatter", "--w-expr", "2*tanh(x)", "--grid=-16,16,2001", "--hbar", "0"],
+        ["partner", "--w-expr", "2*tanh(x)", "--grid=-16,16,2001", "--hbar=-1"],
+        ["bands", "--lame", "b=1"],
+        ["partner", "--potential", "sech2", "--params", "B=1,"],
+        ["partner", "--w-expr", "x", "--grid=0,1"],
     ],
     ids=["levels-0", "levels-neg", "swkb-levels-0", "count-0", "count-neg", "hierarchy-neg",
          "lame-a0", "m-0", "period-not-a-number", "k-neg", "k-0",
-         "lambda-inadmissible", "lambda-minus-one"],
+         "lambda-inadmissible", "lambda-minus-one", "hbar-0", "hbar-neg", "lame-not-a",
+         "params-empty-item", "grid-two-fields"],
 )
 def test_bad_flag_values_are_configuration_errors(capsys, argv):
     code = main(argv)
@@ -524,10 +560,10 @@ def test_check_refuses_potential_flags(capsys, flag, value):
 
 # each subcommand defines only the flags its handler reads
 SUBCOMMAND_FLAGS = {
-    "partner": "potential params w-expr grid hbar mass2 format output config hierarchy",
+    "partner": "potential params w-expr grid hbar format output config hierarchy",
     "spectrum": "potential params format output config levels",
-    "scatter": "potential params w-expr grid hbar mass2 format output config k side steps",
-    "isospectral": "potential params w-expr grid hbar mass2 format output config lambdas",
+    "scatter": "potential params w-expr grid hbar format output config k side steps",
+    "isospectral": "potential params w-expr grid hbar format output config lambdas",
     "swkb": "potential params format output config levels",
     "bands": "format output config lame m count v-expr period params",
     "figures": "config outdir",
@@ -546,7 +582,7 @@ def test_each_subcommand_defines_only_the_flags_it_reads():
         for name, p in sub.choices.items()
     }
     assert defined == {name: set(flags.split()) for name, flags in SUBCOMMAND_FLAGS.items()}
-    assert sum(len(flags) for flags in defined.values()) == 58
+    assert sum(len(flags) for flags in defined.values()) == 55
 
 
 _BASE = {
@@ -586,7 +622,7 @@ def test_unread_flags_are_configuration_errors(tmp_path, monkeypatch, capsys, ba
     assert list(tmp_path.iterdir()) == []  # nothing written
 
 
-@pytest.mark.parametrize("units", [["--hbar", "2"], ["--mass2", "0.25"]], ids=["hbar", "mass2"])
+@pytest.mark.parametrize("units", [["--hbar", "2"]], ids=["hbar"])
 def test_scatter_w_expr_propagates_in_its_own_units(capsys, units):
     # W = 2 tanh x at c = 2 is the reflectionless -2 sech^2 well in units of c^2:
     # |R| = 0 and t = (1 - ik)/(-1 - ik) for every k

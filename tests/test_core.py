@@ -31,8 +31,8 @@ def test_partner_potentials_oscillator():
 
 
 def test_units_enter_through_c():
-    w = Superpotential(w=np.tanh, hbar=2.0, mass2=8.0)
-    assert w.c == pytest.approx(2.0 / math.sqrt(8.0))
+    w = Superpotential(w=np.tanh, hbar=2.0)  # units 2m = 1: c = hbar
+    assert w.c == 2.0
     x = np.array([0.0])
     # at the origin W=0, so V1 = -c W'(0) = -c
     assert w.v1(x)[0] == pytest.approx(-w.c, abs=1e-8)

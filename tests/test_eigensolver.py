@@ -248,6 +248,20 @@ def test_an_open_end_reaches_a_level_just_below_the_continuum():
     assert pair.energy == pytest.approx(-((math.sqrt(0.25 + lam) - 0.5) ** 2), abs=1e-12)
 
 
+@pytest.mark.parametrize("walls", [(False, None), (False, False)], ids=["open", "closed"])
+def test_a_linear_well_is_mapped_on_its_airy_length(walls):
+    # V = x on (0, 20) with psi(0) = 0: E_n = -a_n, the zeros of Ai. V'' = 0 at the
+    # minimum, so the map's scale is twice the Airy length |V'|^(-1/3) = 1; the uniform
+    # map (a = inf) stops at N = 1024 with these levels 2.6e-5 (open) or 1.2e-9 off
+    from scipy.special import ai_zeros
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        pairs = spectral_bound_states(lambda x: np.asarray(x, dtype=float), (0.0, 20.0), 5, walls=walls)
+    # ai_zeros itself is 8e-12 off at the fifth zero
+    assert [p.energy for p in pairs] == pytest.approx(-ai_zeros(5)[0], rel=0, abs=1e-10)
+
+
 def test_spectral_psi_on_a_grid_coarser_than_the_basis():
     lv = spectral_bound_states(lambda x: x**2, (-10.0, 10.0), 2, n_points=41)
     x = lv[1].psi.x

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
+from susyqm import periodic
 from susyqm.core import Superpotential
 from susyqm.eigensolver import SolverError
 from susyqm.periodic import (
@@ -76,7 +77,7 @@ def test_lame_one_numeric():
         assert a.nodes_per_period == b.nodes_per_period
 
 
-def test_lame_two_edges_and_partner():
+def test_lame_two_edges_and_partner(monkeypatch):
     m = 0.5
     spec = LameSpec(2, m)
     edges = lame_band_edges(spec)
@@ -94,7 +95,8 @@ def test_lame_two_edges_and_partner():
     x = np.linspace(0.0, spec.period, 200, endpoint=False)
     # the pair generated by the a=2 ground state is genuinely new: neither a
     # translation nor a reflection of the original well
-    kind, _ = classify_pair(v1, v2, spec.period, n_shifts=400)
+    monkeypatch.setattr(periodic, "_N_SHIFTS", 400)
+    kind, _ = classify_pair(v1, v2, spec.period)
     assert kind == "neither"
     # but it is isospectral: compare the lowest band edges numerically
     e1 = [e.energy for e in numeric_band_edges(v1, spec.period, 3, n_points=1201)]
@@ -274,9 +276,10 @@ def pair_cases():
 
 @pytest.mark.parametrize("n_shifts", [400, 1000])
 @pytest.mark.parametrize("case", list(pair_cases()))
-def test_classify_pair_matches_every_roll(case, n_shifts):
+def test_classify_pair_matches_every_roll(monkeypatch, case, n_shifts):
     v1, v2, period = pair_cases()[case]
-    kind, shift = classify_pair(v1, v2, period, n_shifts=n_shifts)
+    monkeypatch.setattr(periodic, "_N_SHIFTS", n_shifts)
+    kind, shift = classify_pair(v1, v2, period)
     assert (kind, shift) == classify_by_rolls(v1, v2, period, n_shifts=n_shifts)
     expected = {"lame-partner": "neither", "neither": "neither", "reflection": "reflection"}
     assert kind == expected.get(case, "translation")
@@ -287,7 +290,6 @@ LAME_EDGE_CASES = [(a, m) for a in (1, 2) for m in (0.3, 0.5, 0.8)] + [("partner
 
 @pytest.mark.parametrize("a, m", LAME_EDGE_CASES)
 def test_numeric_band_edges_are_band_edge_states_without_the_states(monkeypatch, a, m):
-    from susyqm import periodic
 
     if a == "partner":
         spec = LameSpec(2, m)
@@ -317,7 +319,6 @@ def test_band_edges_too_small_grid_and_rough_warning_reach_every_caller(solve):
 
 
 def test_lame_partner_evaluates_sn_cn_dn_once_per_call(monkeypatch):
-    from susyqm import periodic
 
     spec = LameSpec(2, 0.5)
     v1, w, v2 = lame_partner(spec)

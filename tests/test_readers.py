@@ -1,9 +1,11 @@
-"""Every public top-level function and class in src/susyqm has a reader in the package."""
+"""Every public top-level function and class in src/susyqm has a reader in the package,
+and every dataclass field a statement that reads it."""
 
 import ast
 from pathlib import Path
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "susyqm"
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "susyqm"
 
 # the public names no module of the package reads, each kept for its one reason
 UNREAD_BUT_KEPT = {
@@ -36,3 +38,32 @@ def test_every_public_helper_has_a_reader():
             if not any(stmt.name in names for other, names in statements if other is not stmt):
                 unread.add(stmt.name)
     assert unread == set(UNREAD_BUT_KEPT)
+
+
+# dataclasses read whole rather than field by field
+READ_WHOLE = {"CheckResult": "cli._cmd_check serializes each result with asdict"}
+
+
+def test_every_dataclass_field_has_a_reader():
+    modules = {
+        path: ast.parse(path.read_text(encoding="utf-8"))
+        for folder in (PACKAGE, ROOT / "tests", ROOT / "perfbench")
+        for path in sorted(folder.glob("*.py"))
+    }
+    read = {
+        node.attr
+        for tree in modules.values()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+    unread = {
+        f"{cls.name}.{stmt.target.id}"
+        for path, tree in modules.items()
+        if path.parent == PACKAGE
+        for cls in tree.body
+        if isinstance(cls, ast.ClassDef) and cls.name not in READ_WHOLE
+        and any(ast.unparse(d).startswith("dataclass") for d in cls.decorator_list)
+        for stmt in cls.body
+        if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name) and stmt.target.id not in read
+    }
+    assert unread == set()

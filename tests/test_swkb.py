@@ -98,15 +98,15 @@ def test_wkb_not_exact_for_poschl_teller():
 
 
 def test_exactness_audit_rows():
-    rows = exactness_audit([sip_lookup("shifted_oscillator")], n_max=2)
+    rows = exactness_audit([sip_lookup("shifted_oscillator")])
     swkb_rows = [r for r in rows if r.mode == "swkb"]
-    assert len(swkb_rows) == 3
+    assert [r.n for r in swkb_rows] == [0, 1, 2, 3, 4, 5]
     assert all(r.exact for r in swkb_rows)
 
 
 def test_audit_rows_exact_to_roundoff():
     # much tighter than the 1e-7 gate of AuditRow.exact
-    rows = exactness_audit([sip_lookup(n) for n in CATALOG_NAMES], n_max=5)
+    rows = exactness_audit([sip_lookup(n) for n in CATALOG_NAMES])
     assert {r.mode for r in rows} == {"swkb", "wkb"}
     for r in rows:
         assert r.error <= 1e-12 * max(1.0, abs(r.e_exact)), (r.entry, r.mode, r.n, r.error)
@@ -269,7 +269,7 @@ def test_catalog_audit_shares_actions_and_changes_no_level(monkeypatch):
     integrate = swkb.action_integral
     monkeypatch.setattr(swkb, "action_integral", lambda *args: integrals.append(1) or integrate(*args))
     entries = {name: sip_lookup(name) for name in CATALOG_NAMES}
-    rows = exactness_audit(list(entries.values()), n_max=5)
+    rows = exactness_audit(list(entries.values()))
     # one S(E) per distinct energy of each problem: the bracket ends shared by n = 1...5 once
     assert len(integrals) == 251
     monkeypatch.undo()
