@@ -3,7 +3,7 @@
 Core objects: superpotentials and their partner pairs, ladder operators, a
 catalog of algebraically solvable wells with parameter-shift recursions,
 a tridiagonal bound-state solver, Fourier-Floquet-Hill band edges, reflection/transmission
-recursions checked by an RK4 transfer-matrix propagator, one-parameter
+recursions checked by a Magnus-4 transfer-matrix propagator, one-parameter
 isospectral deformations, semiclassical quantization with exactness audits,
 and elliptic periodic wells with their self-isospectral and new partners.
 Run `susyqm check` (or `python -m susyqm.cli check`) for the built-in

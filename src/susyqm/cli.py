@@ -213,11 +213,15 @@ def _cmd_scatter(args: argparse.Namespace) -> int:
             f"potential {args.potential!r} has no finite superpotential asymptotes; "
             "scattering needs a full-line entry such as sech2 or rosen_morse2"
         )
-    rows, flux_defect = [], []
+    rows, flux_defect, propagator_error = [], [], []
     for k in ks:
         energy = (w.c * k) ** 2 + float(w.w_minus) ** 2
         amp = numeric_rt_for(w, args.side, energy, grid.x_min, grid.x_max, n_steps=args.steps)
         flux_defect.append(amp.flux_defect)
+        if args.out_format == "json":
+            # every step has determinant 1, so the flux defect sits at rounding; halving the steps does not
+            half = numeric_rt_for(w, args.side, energy, grid.x_min, grid.x_max, n_steps=max(args.steps // 2, 1))
+            propagator_error.append(max(abs(amp.r - half.r), abs(amp.t - half.t)) if args.steps > 1 else None)
         rows.append(
             [
                 k,
@@ -237,7 +241,12 @@ def _cmd_scatter(args: argparse.Namespace) -> int:
         args,
         ["k", "energy", "re_r", "im_r", "re_t", "im_t", "prob_r", "prob_t"],
         rows,
-        {"window": [grid.x_min, grid.x_max], "side": args.side, "flux_defect": flux_defect},
+        {
+            "window": [grid.x_min, grid.x_max],
+            "side": args.side,
+            "flux_defect": flux_defect,
+            "propagator_error": propagator_error,
+        },
     )
     return 0
 
@@ -299,34 +308,28 @@ def _cmd_bands(args: argparse.Namespace) -> int:
         except PeriodicError as exc:
             raise ConfigError(str(exc)) from exc
         n_edges = 2 * a + 1 if count is None else count
-        v = lame_potential(spec)
-        numeric = numeric_band_edges(v, spec.period, n_edges, n_points=1201)
-        analytic = lame_band_edges(spec) if a in (1, 2) else None
-        rows = []
-        for i, edge in enumerate(numeric):
-            exact = analytic[i].energy if analytic and i < len(analytic) else math.nan
-            rows.append([edge.energy, exact, 0.0 if edge.period_tag == "L" else 1.0, edge.nodes_per_period])
-        _emit(
-            args,
-            ["energy", "energy_closed_form", "antiperiodic", "nodes_per_period"],
-            rows,
-            {"a": a, "m": m, "period": spec.period},
-        )
-        return 0
-    period = args.period
-    if not args.v_expr or period is None:
-        raise ConfigError(f"bands needs a potential: {_BANDS_SOURCES}")
-    if args.m is not None:
-        raise ConfigError(f"--m does not apply to --v-expr; {_BANDS_SOURCES}")
-    if period <= 0:
-        raise ConfigError(f"--period must be positive, got {_fmt(period)}")
-    v = compile_expression(args.v_expr, args.params)
-    n_edges = 5 if count is None else count
+        v, period = lame_potential(spec), spec.period
+        closed = lame_band_edges(spec) if a in (1, 2) else []
+        diagnostics = {"a": a, "m": m, "period": period, "closed_form": n_edges <= len(closed)}
+    else:
+        period = args.period
+        if not args.v_expr or period is None:
+            raise ConfigError(f"bands needs a potential: {_BANDS_SOURCES}")
+        if args.m is not None:
+            raise ConfigError(f"--m does not apply to --v-expr; {_BANDS_SOURCES}")
+        if period <= 0:
+            raise ConfigError(f"--period must be positive, got {_fmt(period)}")
+        v = compile_expression(args.v_expr, args.params)
+        n_edges = 5 if count is None else count
+        closed, diagnostics = [], {"period": period}
     numeric = numeric_band_edges(v, period, n_edges, n_points=1201)
-    rows = [
-        [e.energy, 0.0 if e.period_tag == "L" else 1.0, e.nodes_per_period] for e in numeric
-    ]
-    _emit(args, ["energy", "antiperiodic", "nodes_per_period"], rows, {"period": period})
+    columns = ["energy", "antiperiodic", "nodes_per_period"]
+    rows = [[e.energy, 0.0 if e.period_tag == "L" else 1.0, e.nodes_per_period] for e in numeric]
+    if diagnostics.get("closed_form"):  # a column only where every edge has its closed form
+        columns.insert(1, "energy_closed_form")
+        for row, exact in zip(rows, closed):
+            row.insert(1, exact.energy)
+    _emit(args, columns, rows, diagnostics)
     return 0
 
 

@@ -313,7 +313,7 @@ def _cyclic_nodes(psi: np.ndarray, sign: float) -> int:
 def hill_discriminant(
     v: Callable, period: float, energy: float, n_steps: int = 4000
 ) -> float:
-    """Hill discriminant D(E): the trace of the one-period RK4 transfer matrix.
+    """Hill discriminant D(E): the trace of the one-period Magnus-4 transfer matrix.
 
     |D| <= 2 inside allowed bands. The matrix comes from scattering.propagate.
     """

@@ -10,7 +10,7 @@ c = hbar. Repeated use along a chain
 ending at the free particle produces closed-form amplitudes, e.g. the
 reflectionless sech^2 family.
 
-The numeric oracle for these closed forms is one RK4 transfer-matrix
+The numeric oracle for these closed forms is one Magnus-4 transfer-matrix
 propagator, propagate(), batched over energies: numeric_rt reads r and t
 from its matrix over the scattering window, and the Hill discriminant of
 periodic.hill_discriminant is the trace of its matrix over one period.
@@ -99,23 +99,29 @@ def reflectionless_T(p: int, k: float) -> complex:
     return t
 
 
-_BLOCK = 2048  # RK4 steps per sampling block and product tree
+_BLOCK = 2048  # Magnus steps per sampling block and product tree
+_GAUSS = math.sqrt(3.0) / 6.0  # the Gauss nodes of a step sit at its middle -/+ _GAUSS s
+_COMMUTATOR = math.sqrt(3.0) / 12.0
 
 
 def propagate(
     v, x0: float, x1: float, energies, n_steps: int, c2: float = 1.0
 ) -> np.ndarray:
-    """Fundamental matrices of psi'' = q psi, q = (V - E)/c2, one per energy (RK4).
+    """Fundamental matrices of psi'' = q psi, q = (V - E)/c2, one per energy (Magnus-4).
 
     Returns the real array Phi of shape (len(energies), 2, 2) that maps
-    (psi, psi') at x0 to (psi, psi') at x1, integrated with n_steps classical
-    RK4 steps of s = (x1 - x0)/n_steps (negative when x1 < x0). For this
-    linear system one RK4 step is the matrix
-        [[1 + s^2/6 (qa + 2qm + s^2/4 qa qm),        s (1 + s^2/6 qm)],
-         [s/6 (qa + 4qm + qb + s^2/2 qm (qa + qb)),  1 + s^2/6 (2qm + qb + s^2/4 qb qm)]]
-    with qa, qm, qb the values of q at the start, midpoint and end of the step.
-    The steps are taken in blocks of _BLOCK: V is sampled once on each
-    block's step and half-step nodes, and the block's step matrices are
+    (psi, psi') at x0 to (psi, psi') at x1, integrated with n_steps
+    fourth-order Magnus steps of s = (x1 - x0)/n_steps (negative when
+    x1 < x0). With q1, q2 the values of q at the step's Gauss nodes
+    x_n + (1/2 -/+ sqrt(3)/6) s, one step is exp(Omega) for
+        Omega = [[alpha, s], [s qbar, -alpha]],
+        alpha = sqrt(3)/12 s^2 (q1 - q2),  qbar = (q1 + q2)/2.
+    Omega^2 = z I with z = alpha^2 + s^2 qbar, so exp(Omega) = ch I + sh Omega,
+    ch = cosh(sqrt z) and sh = sinh(sqrt z)/sqrt z, both entire in z: they are
+    summed as series on z / 4^j, small enough for terms through z^4, and
+    brought back by j doublings. Every step has determinant 1 and is exact
+    where V is constant. The steps are taken in blocks of _BLOCK: V is sampled
+    once on each block's Gauss nodes, and the block's step matrices are
     reduced by a pairwise product tree, so the working set stays bounded.
     v must accept an array of positions; a scalar result is broadcast.
     """
@@ -128,18 +134,34 @@ def propagate(
     phi = eye[:, 0].copy()
     for first in range(0, n_steps, _BLOCK):
         nb = min(_BLOCK, n_steps - first)
-        x = x0 + s * (first + 0.5 * np.arange(2 * nb + 1))
+        mid = x0 + s * (first + 0.5 + np.arange(nb))
+        x = np.empty(2 * nb)
+        np.add(mid, -_GAUSS * s, out=x[0::2])
+        np.add(mid, _GAUSS * s, out=x[1::2])
         vx = np.broadcast_to(np.asarray(v(x), dtype=float), x.shape)
         bad = np.flatnonzero(~np.isfinite(vx))
         if bad.size:
             raise ScatterError(f"potential is not finite at x = {x[bad[0]]:.9g}")
         q = (vx - e) / c2
-        qa, qm, qb = q[:, 0:-1:2], q[:, 1::2], q[:, 2::2]
+        q1, q2 = q[:, 0::2], q[:, 1::2]
+        alpha = (_COMMUTATOR * s2) * (q1 - q2)
+        qbar = 0.5 * (q1 + q2)
+        z = alpha * alpha + s2 * qbar
+        j, zmax = 0, float(np.max(np.abs(z)))
+        while 1e-2 < zmax < math.inf:  # an infinite E gives inf and nan, as any step would, not a hang
+            zmax, j = 0.25 * zmax, j + 1
+        if j:
+            z *= 0.25**j
+        ch = 1.0 + z * (1 / 2 + z * (1 / 24 + z * (1 / 720 + z * (1 / 40320))))
+        sh = 1.0 + z * (1 / 6 + z * (1 / 120 + z * (1 / 5040 + z * (1 / 362880))))
+        for _ in range(j):  # cosh 2w = 1 + 2 sinh^2 w, not 2 cosh^2 w - 1, which quadruples ch's rounding
+            ch, sh = 1.0 + 2.0 * z * sh * sh, sh * ch
+            z *= 4.0
         m = np.empty((e.shape[0], nb, 2, 2))
-        m[..., 0, 0] = 1.0 + s2 / 6.0 * (qa + 2.0 * qm + s2 / 4.0 * qa * qm)
-        m[..., 0, 1] = s * (1.0 + s2 / 6.0 * qm)
-        m[..., 1, 0] = s / 6.0 * (qa + 4.0 * qm + qb + s2 / 2.0 * qm * (qa + qb))
-        m[..., 1, 1] = 1.0 + s2 / 6.0 * (2.0 * qm + qb + s2 / 4.0 * qb * qm)
+        m[..., 0, 0] = ch + sh * alpha
+        m[..., 0, 1] = s * sh
+        m[..., 1, 0] = s * sh * qbar
+        m[..., 1, 1] = ch - sh * alpha
         while m.shape[1] > 1:
             if m.shape[1] % 2:
                 m = np.concatenate([m, eye], axis=1)
@@ -158,7 +180,7 @@ def numeric_rt(
     n_steps: int = 20000,
     hbar: float = 1.0,
 ) -> ScatterAmplitudes:
-    """Direct amplitudes from the RK4 transfer matrix of the window.
+    """Direct amplitudes from the Magnus-4 transfer matrix of the window.
 
     Propagates a pure transmitted wave t e^{ik'x} from x_right to x_left with
     propagate() and matches it onto e^{ikx} + r e^{-ikx} there. v_left /

@@ -126,7 +126,7 @@ def check_reflectionless() -> CheckResult:
             worst_r = max(worst_r, abs(amp.r))
             dph = cmath.phase(amp.t / reflectionless_T(p, k))
             worst_ph = max(worst_ph, abs(dph))
-    passed = worst_r <= 1e-5 and worst_ph <= 1e-4 and worst_e <= 1e-5
+    passed = worst_r <= 1e-9 and worst_ph <= 1e-9 and worst_e <= 1e-5
     return _result(
         name,
         passed,

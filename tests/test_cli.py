@@ -43,6 +43,28 @@ def test_bands_lame_one(capsys):
     assert [r[0] for r in rows] == pytest.approx([0.5, 1.0, 1.5], abs=1e-7)
 
 
+@pytest.mark.parametrize("argv", [["a=3"], ["a=1", "--count", "5"]], ids=["a3", "a1-count5"])
+def test_bands_lame_writes_no_nan(capsys, argv):
+    # a >= 3, or more edges than 2a + 1, have no closed form: the column is left out, not filled with nan
+    code, out = run(capsys, "bands", "--lame", *argv, "--m", "0.5")
+    assert code == 0 and "nan" not in out
+    assert out.splitlines()[0] == "energy,antiperiodic,nodes_per_period"
+    code, out = run(capsys, "bands", "--lame", *argv, "--m", "0.5", "--format", "json")
+    env = json.loads(out)
+    assert code == 0 and env["diagnostics"]["closed_form"] is False
+    assert env["outputs"]["columns"] == ["energy", "antiperiodic", "nodes_per_period"]
+    assert all(math.isfinite(v) for row in env["outputs"]["rows"] for v in row)
+
+
+def test_bands_lame_closed_form_column(capsys):
+    code, out = run(capsys, "bands", "--lame", "a=2", "--m", "0.5", "--count", "3", "--format", "json")
+    env = json.loads(out)
+    assert code == 0 and env["diagnostics"]["closed_form"] is True
+    assert env["outputs"]["columns"] == ["energy", "energy_closed_form", "antiperiodic", "nodes_per_period"]
+    for energy, exact, _, _ in env["outputs"]["rows"]:
+        assert energy == pytest.approx(exact, abs=1e-9)
+
+
 def test_partner_well_hierarchy(capsys):
     code, out = run(
         capsys, "partner", "--potential", "well", "--params", "L=pi", "--hierarchy", "3"
@@ -90,6 +112,39 @@ def test_scatter_reports_flux_defect_per_k(capsys):
     defects = env["diagnostics"]["flux_defect"]
     assert len(defects) == len(env["outputs"]["rows"]) == 3
     assert all(0.0 <= d < 1e-8 for d in defects)
+
+
+def test_scatter_json_estimates_the_propagator_error(capsys):
+    from susyqm.scattering import reflectionless_T
+
+    code, out = run(
+        capsys, "scatter", "--potential", "sech2", "--params", "B=1", "--steps", "2000", "--format", "json"
+    )
+    assert code == 0
+    env = json.loads(out)
+    estimates = env["diagnostics"]["propagator_error"]
+    assert len(estimates) == len(env["outputs"]["rows"]) == 3
+    for (k, _, re_r, im_r, re_t, im_t, _, _), estimate in zip(env["outputs"]["rows"], estimates):
+        error = max(abs(complex(re_r, im_r)), abs(complex(re_t, im_t) - reflectionless_T(1, k)))
+        assert error <= estimate <= 100.0 * error
+
+
+def test_scatter_estimates_the_error_in_json_mode_only(capsys, monkeypatch):
+    import susyqm.cli as cli
+
+    steps = []
+    solve = cli.numeric_rt_for
+
+    def counted(*args, n_steps, **kw):
+        steps.append(n_steps)
+        return solve(*args, n_steps=n_steps, **kw)
+
+    monkeypatch.setattr(cli, "numeric_rt_for", counted)
+    assert run(capsys, "scatter", "--potential", "sech2", "--k", "1,2", "--steps", "501")[0] == 0
+    assert steps == [501, 501]
+    steps.clear()
+    code, out = run(capsys, "scatter", "--potential", "sech2", "--k", "1", "--steps", "1", "--format", "json")
+    assert code == 0 and json.loads(out)["diagnostics"]["propagator_error"] == [None]  # one step has no half
 
 
 def test_scatter_units_rejected_for_catalog_potential(capsys):

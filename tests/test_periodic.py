@@ -151,7 +151,7 @@ def test_lame_edges_states_and_nodes_match_closed_form(a, m):
 
 @pytest.mark.parametrize("m", [0.3, 0.5, 0.8])
 def test_lame_partner_edges_are_hill_discriminant_roots(m):
-    # the RK4 propagator is an independent oracle: D(E) = 2 at L edges, -2 at 2L edges
+    # the Magnus-4 propagator is an independent oracle: D(E) = 2 at L edges, -2 at 2L edges
     spec = LameSpec(2, m)
     _, _, v2 = lame_partner(spec)
     for edge in numeric_band_edges(v2, spec.period, 5, n_points=801):

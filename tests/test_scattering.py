@@ -84,28 +84,32 @@ def test_numeric_rt_rejects_non_finite_potential():
         numeric_rt(lambda x: np.sqrt(x), 2.0, -1.0, 1.0, v_left=0.0, v_right=0.0, n_steps=100)
 
 
-# -- the transfer-matrix propagator against a scalar RK4 loop -----------------
+# -- the transfer-matrix propagator against a scalar Magnus-4 loop ------------
 
 
-def _rk4_reference(v, x0, x1, energy, n_steps):
-    """Classical RK4 for psi'' = (V - E) psi on both unit columns, one scalar V call per stage."""
-
-    def rhs(x, y):
-        return (y[1], (float(v(np.array(x))) - energy) * y[0])
-
+def _magnus_reference(v, x0, x1, energy, n_steps):
+    """Scalar Magnus-4 for psi'' = (V - E) psi: two scalar V calls a step, math.cosh/cos
+    and math.sinh/sin for exp(Omega), and a running product from the left."""
     h = (x1 - x0) / n_steps
-    cols = []
-    for y in ((1.0, 0.0), (0.0, 1.0)):
-        x = x0
-        for _ in range(n_steps):
-            k1 = rhs(x, y)
-            k2 = rhs(x + 0.5 * h, (y[0] + 0.5 * h * k1[0], y[1] + 0.5 * h * k1[1]))
-            k3 = rhs(x + 0.5 * h, (y[0] + 0.5 * h * k2[0], y[1] + 0.5 * h * k2[1]))
-            k4 = rhs(x + h, (y[0] + h * k3[0], y[1] + h * k3[1]))
-            y = tuple(y[i] + h / 6.0 * (k1[i] + 2 * k2[i] + 2 * k3[i] + k4[i]) for i in (0, 1))
-            x += h
-        cols.append(y)
-    return np.array(cols).T
+    d = math.sqrt(3.0) / 6.0
+    phi = np.eye(2)
+    for n in range(n_steps):
+        x = x0 + (n + 0.5) * h
+        q1 = float(v(np.array(x - d * h))) - energy
+        q2 = float(v(np.array(x + d * h))) - energy
+        alpha = math.sqrt(3.0) / 12.0 * h * h * (q1 - q2)
+        qbar = 0.5 * (q1 + q2)
+        z = alpha * alpha + h * h * qbar
+        mu = math.sqrt(abs(z))
+        if z > 0.0:
+            ch, sh = math.cosh(mu), math.sinh(mu) / mu
+        elif z < 0.0:
+            ch, sh = math.cos(mu), math.sin(mu) / mu
+        else:
+            ch, sh = 1.0, 1.0
+        step = np.array([[ch + sh * alpha, sh * h], [sh * h * qbar, ch - sh * alpha]])
+        phi = step @ phi
+    return phi
 
 
 def _sech2_case():
@@ -122,18 +126,18 @@ def _max_rel(a, b):
 
 
 @pytest.mark.parametrize("case", [_sech2_case, _lame_case], ids=["sech2", "lame"])
-def test_propagate_matches_scalar_rk4(case):
+def test_propagate_matches_scalar_magnus(case):
     v, x0, x1, energy = case()
     phi = propagate(v, x0, x1, [energy], 300)
     assert phi.shape == (1, 2, 2)
-    assert _max_rel(phi[0], _rk4_reference(v, x0, x1, energy, 300)) < 1e-12
+    assert _max_rel(phi[0], _magnus_reference(v, x0, x1, energy, 300)) < 1e-12
 
 
 @pytest.mark.parametrize("n_steps", [1, 2047, 2048, 2049, 5000])
 def test_propagate_block_boundaries(n_steps):
     v = lambda x: -2.0 / np.cosh(x) ** 2
     phi = propagate(v, 6.0, -6.0, [1.3], n_steps)[0]
-    assert _max_rel(phi, _rk4_reference(v, 6.0, -6.0, 1.3, n_steps)) < 1e-12
+    assert _max_rel(phi, _magnus_reference(v, 6.0, -6.0, 1.3, n_steps)) < 1e-12
 
 
 @pytest.mark.parametrize("case", [_sech2_case, _lame_case], ids=["sech2", "lame"])
@@ -146,12 +150,43 @@ def test_propagate_is_unimodular_and_batches(case):
         assert _max_rel(phi[j], propagate(v, x0, x1, [e], 6000)[0]) < 1e-13
 
 
+@pytest.mark.parametrize("q", [4.0, 0.0, -2.25, -399.0, 399.0])
+def test_propagate_is_exact_for_constant_v(q):
+    # psi'' = q psi over 7 steps of 3/7: for |q| = 399, s^2 |q| = 73 needs j = 7 doublings
+    length, v_const = 3.0, 1.5
+    phi = propagate(lambda x: v_const, 0.0, length, [v_const - q], 7)[0]
+    r = math.sqrt(abs(q))
+    if q > 0:
+        c, sr, rs = math.cosh(r * length), math.sinh(r * length) / r, r * math.sinh(r * length)
+    elif q < 0:
+        c, sr, rs = math.cos(r * length), math.sin(r * length) / r, -r * math.sin(r * length)
+    else:
+        c, sr, rs = 1.0, length, 0.0
+    assert _max_rel(phi, np.array([[c, sr], [rs, c]])) < 1e-13
+
+
+def test_propagate_is_fourth_order():
+    # V1 of sech2 at B = 2 is 4 - 6 sech^2 x; each error is against a solve with 4x the steps
+    v = sip_lookup("sech2", B=2.0).superpotential().v1
+    errors = []
+    for n in (100, 200, 400):
+        ref = propagate(v, -8.0, 8.0, [0.5, 2.0, 5.0], 4 * n)
+        errors.append(np.max(np.abs(propagate(v, -8.0, 8.0, [0.5, 2.0, 5.0], n) - ref)) / np.max(np.abs(ref)))
+    assert errors[0] / errors[1] >= 12.0 and errors[1] / errors[2] >= 12.0
+
+
 def test_propagate_free_particle_from_constant_callable():
     length, k = 10.0, 1.2
     phi = propagate(lambda x: 0.0, 0.0, length, [0.0, k * k], 4000)
     assert np.max(np.abs(phi[0] - [[1.0, length], [0.0, 1.0]])) < 1e-12
     c, s = math.cos(k * length), math.sin(k * length)
     assert np.max(np.abs(phi[1] - [[c, s / k], [-k * s, c]])) < 1e-9
+
+
+def test_propagate_of_an_infinite_energy_returns():
+    with np.errstate(invalid="ignore", over="ignore"):
+        phi = propagate(lambda x: 0.0, 0.0, 1.0, [0.5, math.inf], 10)
+    assert np.isfinite(phi[0]).all() and not np.isfinite(phi[1]).all()
 
 
 def test_propagate_needs_a_step():
