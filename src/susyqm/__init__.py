@@ -43,7 +43,6 @@ from .isospectral import (
     IsoFamily,
     IsospectralError,
     conserved_charges,
-    pursey_abraham_moses,
 )
 from .periodic import (
     BandEdge,
@@ -128,7 +127,6 @@ __all__ = [
     "numeric_rt",
     "partner_rt",
     "propagate",
-    "pursey_abraham_moses",
     "quantize",
     "reflectionless_T",
     "sample",

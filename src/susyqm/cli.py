@@ -92,9 +92,11 @@ def _emit(args: argparse.Namespace, columns: list[str], rows: list[list[float]],
 
 
 def _write_csv(stream, columns: list[str], rows) -> None:
+    """The header, then each row as _fmt would write its values, through one format string per row."""
     stream.write(",".join(columns) + "\n")
-    for row in rows:
-        stream.write(",".join(_fmt(v) for v in row) + "\n")
+    line = ",".join(["%.17g"] * len(columns)) + "\n"
+    for row in np.asarray(rows, dtype=float).tolist():
+        stream.write(line % tuple(row))
 
 
 def _emit_json(args: argparse.Namespace, outputs: dict, diagnostics: dict):

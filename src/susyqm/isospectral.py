@@ -10,21 +10,52 @@ The second derivative is evaluated analytically through I' = psi0^2 and
 psi0' = -(W/c) psi0, so no numerical differentiation enters the family.
 The boundary points lam -> 0 and lam -> -1 delete the ground state and
 produce the two inequivalent "lost ground state" partners.
+
+A family gives its members on its grid (IsoFamily.potential) or as callables
+at any x (IsoFamily.member), which the spectral engine solves. The callable
+reads ln psi0^2, ln I and ln J = ln(1 - I) off the Gauss-Legendre panel
+tables of panels.LogTables, built on its first call.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
+from typing import Callable
 
 import numpy as np
 
 from .core import Superpotential, ground_state_from_w
 from .grids import Grid, SampledFunction, cumulative_integral, integrate
+from .panels import LogTables
 
 
 class IsospectralError(ValueError):
     pass
+
+
+def _shifted(cum: np.ndarray, tail: np.ndarray, lam: float) -> np.ndarray:
+    """I + lam from I (cum) or J = 1 - I (tail), whichever has no cancellation."""
+    if lam >= -0.5:
+        return cum + lam
+    return (1.0 + lam) - tail
+
+
+def _deformed(v1: np.ndarray, wv: np.ndarray, c: float, p2: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """The member V1 - 2 c^2 (ln u)'' with u = I + lam, from psi0^2 (p2), W and V1.
+
+    With r = psi0^2 / u, (ln u)' = r and r' = -(2W/c) r - r^2 (I' = psi0^2,
+    psi0' = -(W/c) psi0), so the member is V1 + 2 c^2 ((2W/c) r + r^2). Where u
+    underflows to 0 in the tail, r takes its limit -2W/c; where psi0^2 does
+    (|u| < 1/2), either limit r = 0 or -2W/c gives V1.
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.where(u != 0.0, p2 / np.where(u == 0.0, 1.0, u), 0.0)
+    tail = (u == 0.0) | ((p2 == 0.0) & (np.abs(u) < 0.5))
+    ratio = np.where(tail, -2.0 * wv / c, ratio)
+    log_second = -(2.0 * wv / c) * ratio - ratio**2
+    return v1 - 2.0 * c**2 * log_second
 
 
 def admissible(lam: float) -> bool:
@@ -42,7 +73,9 @@ class IsoFamily:
     catastrophic cancellation in I - 1 that would otherwise wreck the
     lam < -1 branch and the lam = -1 limit. The off-grid tail mass is
     estimated from the asymptotic relation I ~ c psi0^2 / (2|W|) and folded
-    into the normalization.
+    into the normalization. The member callables' panel tables (the same
+    three functions, in logarithms) are built from W on the first call of a
+    member, never by build.
     """
 
     source: Superpotential
@@ -82,10 +115,7 @@ class IsoFamily:
         )
 
     def _u(self, lam: float) -> np.ndarray:
-        """I + lam, using whichever accumulation direction is cancellation-free."""
-        if lam >= -0.5:
-            return self.cumnorm.values + lam
-        return (1.0 + lam) - self.tailnorm.values
+        return _shifted(self.cumnorm.values, self.tailnorm.values, lam)
 
     def _check(self, lam: float):
         if not admissible(lam):
@@ -93,29 +123,43 @@ class IsoFamily:
                 f"lam = {lam} is not admissible (need lam > 0 or lam < -1)"
             )
 
-    def _member(self, lam: float) -> SampledFunction:
-        """V1 - 2 c^2 (d^2/dx^2) ln(I + lam) for any lam, the boundary values 0 and -1 included.
-
-        The second derivative is assembled through I' = psi0^2, psi0' = -(W/c) psi0.
-        """
-        x = self.grid.points
-        v1 = self.source.v1(x)
-        c = self.source.c
-        p2 = self.psi0.values**2
-        u = self._u(lam)
-        wv = np.asarray(self.source.w(x), dtype=float)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratio = np.where(u != 0.0, p2 / np.where(u == 0.0, 1.0, u), 0.0)
-        # where u underflows to 0 in the tail, substitute the limit p2/u -> -2W/c
-        tail = (u == 0.0) | ((p2 == 0.0) & (np.abs(u) < 0.5))
-        ratio = np.where(tail, -2.0 * wv / c, ratio)
-        log_second = -(2.0 * wv / c) * ratio - ratio**2
-        return SampledFunction(self.grid, v1 - 2.0 * c**2 * log_second)
-
     def potential(self, lam: float) -> SampledFunction:
-        """Vhat(x; lam) = V1 - 2 c^2 (d^2/dx^2) ln(I + lam), assembled analytically."""
+        """Vhat(x; lam) = V1 - 2 c^2 (d^2/dx^2) ln(I + lam) on the grid, assembled analytically."""
         self._check(lam)
-        return self._member(lam)
+        x = self.grid.points
+        wv = np.asarray(self.source.w(x), dtype=float)
+        return SampledFunction(
+            self.grid, _deformed(self.source.v1(x), wv, self.source.c, self.psi0.values**2, self._u(lam))
+        )
+
+    def member(self, lam: float) -> Callable:
+        """Vhat(x; lam) as a callable at any x, for an admissible lam or a
+        boundary value 0 or -1 (the member without the ground state).
+
+        psi0^2, I and J are exp of the panel tables' interpolants; past the
+        tables' ends psi0^2 = 0 and I = 0 (below) or 1 (above), so the member
+        is V1 there, or its tail limit where I + lam = 0.
+        """
+        if not (admissible(lam) or lam in (0.0, -1.0)):
+            raise IsospectralError(f"lam = {lam} is neither admissible nor a boundary value 0 or -1")
+
+        def v(x):
+            x = np.asarray(x, dtype=float)
+            flat = x.ravel()
+            p2, cum = np.zeros_like(flat), (flat > self.grid.x_max).astype(float)
+            tail = 1.0 - cum
+            inside = (flat >= self.grid.x_min) & (flat <= self.grid.x_max)
+            p2[inside], cum[inside], tail[inside] = np.exp(self._tables.at(flat[inside]))
+            wv = np.asarray(self.source.w(flat), dtype=float)
+            out = _deformed(self.source.v1(flat), wv, self.source.c, p2, _shifted(cum, tail, lam))
+            return out.reshape(x.shape)
+
+        return v
+
+    @cached_property
+    def _tables(self):
+        """The member's panel tables, built on the first read."""
+        return LogTables.build(self.source, self.grid.x_min, self.grid.x_max)
 
     def ground_state(self, lam: float) -> SampledFunction:
         """psihat0 = sqrt(lam(1+lam)) psi0 / (I + lam); unit norm by construction."""
@@ -137,14 +181,3 @@ def conserved_charges(v: SampledFunction, v_infinity: float) -> tuple[float, flo
     q1 = integrate(SampledFunction(v.grid, dv))
     q2 = integrate(SampledFunction(v.grid, dv**2))
     return q1, q2
-
-
-def pursey_abraham_moses(fam: IsoFamily) -> tuple[SampledFunction, SampledFunction]:
-    """The two boundary potentials of the family, evaluated at lam = 0 and -1.
-
-    Both delete the ground state while keeping the rest of the spectrum; for a
-    symmetric base they are mirror images of each other. The lam = 0 member
-    stays finite because psi0^2 / I tends to the limit -2W/c in the tail
-    where both vanish (and likewise psi0^2 / (I - 1) on the other side).
-    """
-    return fam._member(0.0), fam._member(-1.0)

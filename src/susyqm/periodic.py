@@ -18,6 +18,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from ._blas import one_blas_thread
 from .eigensolver import EigenPair, SolverError
 from .grids import Grid, SampledFunction, lobe_sign, sample
 from .scattering import propagate
@@ -249,21 +250,22 @@ def _hill_edges(
             stacklevel=3,
         )
     levels = []
-    for tag, cos_f, sin_f in (
-        ("L", np.arange(0, 2 * modes + 1, 2), np.arange(2, 2 * modes + 1, 2)),
-        ("2L", np.arange(1, 2 * modes, 2), np.arange(1, 2 * modes, 2)),
-    ):
-        # orthonormal basis sqrt(2/L) Re(c exp(i pi f x / L)): c real for cos, -i for sin
-        f = np.concatenate([cos_f, sin_f])
-        c = np.concatenate([np.where(cos_f == 0, math.sqrt(0.5), 1.0), np.full(sin_f.size, -1j)])
-        # Re(A) Re(B) = (Re(A B) + Re(A conj(B))) / 2: each entry is two harmonics of V
-        p, q = f[:, None], f[None, :]
-        h = np.outer(c, c) * vhat[(-p - q) // 2] + np.outer(c, c.conj()) * vhat[(q - p) // 2]
-        h = h.real
-        h[np.diag_indices_from(h)] += (math.pi * f / period) ** 2
-        energies, vecs = np.linalg.eigh(h)
-        keep = min(count // 2 + 2, f.size)
-        levels += [(e, tag, f, c * vecs[:, i]) for i, e in enumerate(energies[:keep])]
+    with one_blas_thread():  # numpy's eigh stalls against scipy's pool at more than one BLAS thread
+        for tag, cos_f, sin_f in (
+            ("L", np.arange(0, 2 * modes + 1, 2), np.arange(2, 2 * modes + 1, 2)),
+            ("2L", np.arange(1, 2 * modes, 2), np.arange(1, 2 * modes, 2)),
+        ):
+            # orthonormal basis sqrt(2/L) Re(c exp(i pi f x / L)): c real for cos, -i for sin
+            f = np.concatenate([cos_f, sin_f])
+            c = np.concatenate([np.where(cos_f == 0, math.sqrt(0.5), 1.0), np.full(sin_f.size, -1j)])
+            # Re(A) Re(B) = (Re(A B) + Re(A conj(B))) / 2: each entry is two harmonics of V
+            p, q = f[:, None], f[None, :]
+            h = np.outer(c, c) * vhat[(-p - q) // 2] + np.outer(c, c.conj()) * vhat[(q - p) // 2]
+            h = h.real
+            h[np.diag_indices_from(h)] += (math.pi * f / period) ** 2
+            energies, vecs = np.linalg.eigh(h)
+            keep = min(count // 2 + 2, f.size)
+            levels += [(e, tag, f, c * vecs[:, i]) for i, e in enumerate(energies[:keep])]
     if len(levels) < count:
         raise SolverError(
             f"{n_points} samples resolve {modes} harmonics, too few for count={count} "

@@ -35,6 +35,15 @@ thread a numpy BLAS call between two LAPACK calls leaves numpy's threads
 spinning on the cores that scipy's then wait for (on 2 cores, dsyevr at N =
 128 after a 64000-point norm took 8-14 ms against 1 ms). Products and
 reductions are np.einsum, which computes in numpy's own loops.
+
+The solve itself runs inside _blas.one_blas_thread(), which sets both
+bundled OpenBLAS pools to one thread and restores their counts after. At two
+BLAS threads a LAPACK call wakes its pool, whose threads then spin against
+the other pool's: dsyevr for the lowest 6 levels at N = 128 took 4.1 ms right
+after a numpy eigh, against 0.73 ms at one thread. The matrices here are too
+small to gain from a second thread, and without the stall a V with no mirror
+symmetry, such as an isospectral member, can afford its full N = 128 dsyevr
+(0.66 ms, against 0.44 ms for the two parity blocks of an even V).
 """
 
 from __future__ import annotations
@@ -49,6 +58,7 @@ import numpy as np
 from scipy.linalg import eigh_tridiagonal
 from scipy.linalg.lapack import dsyevr
 
+from ._blas import one_blas_thread
 from .core import wall_exponent
 from .eigensolver import EigenPair, SolverError
 from .grids import Grid, SampledFunction, count_nodes, lobe_sign
@@ -81,7 +91,7 @@ def _eigh_lowest(h: np.ndarray, count: int):
     well ladder at N = 128 the default loses 2e-10 where this keeps 6e-13.
     """
     # h.T is h in Fortran order, so LAPACK works in place instead of on a copy
-    w, z, _, _, info = dsyevr(h.T, range="I", il=1, iu=count, abstol=np.finfo(float).tiny, overwrite_a=1)
+    w, z, *_, info = dsyevr(h.T, range="I", il=1, iu=count, abstol=np.finfo(float).tiny, overwrite_a=1)
     if info:
         raise SolverError(f"LAPACK dsyevr failed with info = {info}")
     return w[:count], z[:, :count]
@@ -397,7 +407,7 @@ def _score(a: _Levels, b: _Levels) -> tuple:
     resolved = b.energies < b.edge
     change = np.abs(b.energies - a.energies) / np.maximum(1.0, np.abs(b.energies))
     change = np.where(a.energies < a.edge, change, math.inf)[resolved]
-    return (-int(resolved.sum()), float(np.max(change, initial=0.0)))
+    return -int(resolved.sum()), float(np.max(change, initial=0.0))
 
 
 def spectral_bound_states(
@@ -443,7 +453,7 @@ def spectral_bound_states(
     every level is bound. psi is returned on Grid(*interval, n_points),
     built when first read.
     """
-    lo, hi = float(interval[0]), float(interval[1])
+    lo, hi = map(float, interval)
     if count < 1:
         raise SolverError(f"count must be at least 1, got {count}")
     n = _N_START
@@ -451,38 +461,36 @@ def spectral_bound_states(
         n *= 2
     if 2 * n > SPECTRAL_CAP:
         raise SolverError(f"{count} states need a basis above the cap N = {SPECTRAL_CAP}")
-    wall_lo, wall_hi = (_is_wall(w) for w in walls)
-    if wall_lo and wall_hi:
-        basis = _JacobiMesh(v, lo, hi, walls)
-    elif wall_lo or wall_hi:
-        basis = _LaguerreMesh(v, lo, hi, walls)
-    else:
-        basis = _SineDVR(v, lo, hi, walls)
-        if basis.open.any():
-            # one solve on the probe's reach sizes the open ends; the doubling
-            # then starts again at that size on the fitted map
-            n = max(n, _N_PROBE)
-            basis.fit_open_ends(v, basis.levels(v, n, count)[0])
-    prev = basis.levels(v, n, count)
-    last = math.inf
-    while True:
-        n *= 2
-        cur = basis.levels(v, n, count)
-        (_, worst), best = min((_score(a, b), i) for i, (a, b) in enumerate(zip(prev, cur)))
-        # a change that grows after one below ROUNDING_FLOOR is rounding, not truncation:
-        # keep the N/2 solve and its change. A level newly resolved (an infinite change) is neither
-        if last <= ROUNDING_FLOOR and last <= worst < math.inf:
-            worst, n = last, n // 2
-            break
-        solves = prev[best], cur[best]  # N/2 and N in the best basis
-        if worst <= SPECTRAL_TOL or 2 * n > SPECTRAL_CAP:
-            break
-        prev, last = cur, worst
+    with one_blas_thread():
+        wall_lo, wall_hi = map(_is_wall, walls)
+        if wall_lo and wall_hi:
+            basis = _JacobiMesh(v, lo, hi, walls)
+        elif wall_lo or wall_hi:
+            basis = _LaguerreMesh(v, lo, hi, walls)
+        else:
+            basis = _SineDVR(v, lo, hi, walls)
+            if basis.open.any():
+                # one solve on the probe's reach sizes the open ends; the doubling
+                # then starts again at that size on the fitted map
+                n = max(n, _N_PROBE)
+                basis.fit_open_ends(v, basis.levels(v, n, count)[0])
+        prev = basis.levels(v, n, count)
+        last = math.inf
+        while True:
+            n *= 2
+            cur = basis.levels(v, n, count)
+            (_, worst), best = min((_score(a, b), i) for i, (a, b) in enumerate(zip(prev, cur)))
+            # a change that grows after one below ROUNDING_FLOOR is rounding, not truncation:
+            # keep the N/2 solve and its change. A level newly resolved (an infinite change) is neither
+            if last <= ROUNDING_FLOOR and last <= worst < math.inf:
+                worst, n = last, n // 2
+                break
+            solves = prev[best], cur[best]  # N/2 and N in the best basis
+            if worst <= SPECTRAL_TOL or 2 * n > SPECTRAL_CAP:
+                break
+            prev, last = cur, worst
     if worst > SPECTRAL_TOL:
-        warnings.warn(
-            f"levels still move by {worst:.2e} between N = {n // 2} and N = {n}",
-            stacklevel=2,
-        )
+        warnings.warn(f"levels still move by {worst:.2e} between N = {n // 2} and N = {n}", stacklevel=2)
     lv, change = solves[1], np.abs(solves[1].energies - solves[0].energies)
     grid = Grid(lo, hi, n_points)
     pairs = []

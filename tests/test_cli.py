@@ -1,3 +1,4 @@
+import io
 import json
 import math
 import os
@@ -9,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from susyqm.cli import main
+from susyqm.cli import _fmt, _write_csv, main
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -735,3 +736,19 @@ def test_partner_well_refuses_what_it_cannot_read(capsys, extra):
     out, err = capsys.readouterr()
     assert code == 2 and out == ""
     assert err.startswith("configuration error:") and err.count("\n") == 1
+
+
+def test_csv_rows_are_byte_identical_to_the_per_value_formatter():
+    rng = np.random.default_rng(22)
+    special = [-0.0, 5e-324, 1.7976931348623157e308, -1.7976931348623157e308, 0, 7, -12, 2**53 + 1, 10**20]
+    rows = [special[i : i + 3] for i in range(0, len(special), 3)]
+    rows += (rng.normal(size=(40, 3)) * 10.0 ** rng.integers(-300, 300, size=(40, 3))).tolist()
+    rows += [list(map(np.float64, rng.uniform(-1.0, 1.0, 3))), [np.int64(-3), np.float32(0.1), True]]
+    columns = ["a", "b", "c"]
+    buf = io.StringIO()
+    _write_csv(buf, columns, rows)
+    expected = "a,b,c\n" + "".join(",".join(_fmt(v) for v in row) + "\n" for row in rows)
+    assert buf.getvalue() == expected
+    array_buf = io.StringIO()
+    _write_csv(array_buf, columns, np.array(rows[3:43]))  # a 2-D array, as figures writes
+    assert array_buf.getvalue() == "a,b,c\n" + "".join(",".join(_fmt(v) for v in row) + "\n" for row in rows[3:43])
