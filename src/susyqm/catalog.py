@@ -387,11 +387,14 @@ def sip_eigenfunction(entry: SipEntry, n: int, grid: Grid) -> SampledFunction:
 def hierarchy_potential(entry: SipEntry, s: int):
     """Potential of the s-th hierarchy member: V1(x; a_s) + sum_{k<s} R(a_k).
 
-    Its spectrum equals the base spectrum with the lowest s-1 levels removed.
-    Returns (callable, ground_energy_shift).
+    Its spectrum equals the base spectrum with the lowest s-1 levels removed,
+    so an entry with n_bound levels has members s = 1 to n_bound + 1, the last
+    one without a bound state; past it the chain leaves the entry's parameter
+    range. Returns (callable, ground_energy_shift).
     """
-    if s < 1:
-        raise CatalogError("hierarchy depth starts at s = 1")
+    top = math.inf if entry.n_bound is None else entry.n_bound + 1
+    if not 1 <= s <= top:
+        raise CatalogError(f"{entry.name} has hierarchy members s = 1 to {top}, got s = {s}")
     chain = entry.param_chain(s - 1)
     shift = sum(entry.remainder(chain[k]) for k in range(s - 1))
 

@@ -178,7 +178,10 @@ def _partner_series(args: argparse.Namespace) -> tuple[Grid, dict, dict]:
         if args.potential is None:
             raise ConfigError("--hierarchy needs a catalog --potential")
         entry = _lookup(args)
-        v, shift = hierarchy_potential(entry, hierarchy)
+        try:
+            v, shift = hierarchy_potential(entry, hierarchy)
+        except CatalogError as exc:  # a depth past the entry's last member
+            raise ConfigError(str(exc)) from exc
         grid = Grid(*args.grid) if args.grid else numeric_grid(entry, 2001)
         return grid, {"v": v(grid.points)}, {"ground_energy_shift": shift}
     w, grid = _superpotential(args)
@@ -214,6 +217,13 @@ def _cmd_scatter(args: argparse.Namespace) -> int:
         raise ConfigError(
             f"potential {args.potential!r} has no finite superpotential asymptotes; "
             "scattering needs a full-line entry such as sech2 or rosen_morse2"
+        )
+    # E = (hbar k)^2 + W-^2 must also clear the right threshold W+^2
+    k_open = math.sqrt(max(0.0, float(w.w_plus) ** 2 - float(w.w_minus) ** 2)) / w.c
+    if min(ks) <= k_open:
+        raise ConfigError(
+            f"--k {_fmt(min(ks))} leaves the right channel closed: scattering needs k > "
+            f"sqrt(max(0, W+^2 - W-^2)) / hbar = {_fmt(k_open)}"
         )
     rows, flux_defect, propagator_error = [], [], []
     for k in ks:
@@ -277,16 +287,14 @@ def _cmd_swkb(args: argparse.Namespace) -> int:
         raise ConfigError("swkb needs a catalog --potential")
     entry = _lookup(args)
     spec, truncated = sip_spectrum(entry, args.levels - 1)
-    prob_s = problem_for_entry(entry, Mode.SWKB_V1, e_top=spec[-1])
-    prob_w = problem_for_entry(entry, Mode.WKB, e_top=spec[-1]) if entry.name in WKB_APPLICABLE else None
-    rows = []
-    for n, e_exact in enumerate(spec):
-        e_swkb = quantize(prob_s, n)
-        e_wkb = quantize(prob_w, n) if prob_w is not None else math.nan
-        rows.append([n, e_exact, e_swkb, e_wkb])
+    columns, problems = ["n", "e_exact", "e_swkb"], [problem_for_entry(entry, Mode.SWKB_V1, e_top=spec[-1])]
+    if entry.name in WKB_APPLICABLE:  # a column only where plain WKB applies
+        columns.append("e_wkb")
+        problems.append(problem_for_entry(entry, Mode.WKB, e_top=spec[-1]))
+    rows = [[n, e_exact, *(quantize(p, n) for p in problems)] for n, e_exact in enumerate(spec)]
     _emit(
         args,
-        ["n", "e_exact", "e_swkb", "e_wkb"],
+        columns,
         rows,
         {"entry": entry.name, "bound_states": entry.n_bound, "truncated": bool(truncated)},
     )
@@ -356,8 +364,7 @@ def _cmd_figures(args: argparse.Namespace) -> int:
     # deformed oscillator potentials and ground states over a lambda sweep
     entry = sip_lookup("shifted_oscillator")
     g = Grid(-6.0, 6.0, 1201)
-    fam = IsoFamily.build(entry.superpotential(), Grid(-16.0, 16.0, 4001))
-    idx = np.searchsorted(fam.grid.points, g.points)
+    fam = IsoFamily.build(entry.superpotential(), g)
     lams = [0.5, 1.0, 5.0, 1e6]
     lam_cols = ["x"] + [f"lam_{lam:g}" for lam in lams]
 
@@ -366,8 +373,8 @@ def _cmd_figures(args: argparse.Namespace) -> int:
             ["x", "v_box", "v_partner", "psi0_box", "psi1_box", "psi0_partner", "psi1_partner"],
             np.column_stack([grid.points, *(v(x) for v in wells), *psis]),
         ),
-        (lam_cols, np.column_stack([g.points, *(fam.potential(lam).values[idx] for lam in lams)])),
-        (lam_cols, np.column_stack([g.points, *(fam.ground_state(lam).values[idx] for lam in lams)])),
+        (lam_cols, np.column_stack([g.points, *(fam.potential(lam).values for lam in lams)])),
+        (lam_cols, np.column_stack([g.points, *(fam.ground_state(lam).values for lam in lams)])),
     )
     for name, (columns, rows) in zip(manifest, tables):
         with open(os.path.join(outdir, name), "w", encoding="utf-8") as fh:

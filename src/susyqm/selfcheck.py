@@ -126,7 +126,7 @@ def check_reflectionless() -> CheckResult:
             worst_r = max(worst_r, abs(amp.r))
             dph = cmath.phase(amp.t / reflectionless_T(p, k))
             worst_ph = max(worst_ph, abs(dph))
-    passed = worst_r <= 1e-9 and worst_ph <= 1e-9 and worst_e <= 1e-5
+    passed = worst_r <= 1e-9 and worst_ph <= 1e-9 and worst_e <= 1e-12
     return _result(
         name,
         passed,
@@ -183,7 +183,6 @@ def check_isospectral() -> CheckResult:
     fam = IsoFamily.build(entry.superpotential(), Grid(-16.0, 16.0, 4001))
 
     def levels(lam: float) -> list:
-        # a member is not mirror-symmetric, so each solve is one full sine-DVR eigenproblem
         return spectral_bound_states(fam.member(lam), (-16.0, 16.0), 5, walls=(None, None))
 
     # the members keep the levels 2n; the lam = 0 member keeps 2, 4, ... without the ground level

@@ -41,9 +41,7 @@ bundled OpenBLAS pools to one thread and restores their counts after. At two
 BLAS threads a LAPACK call wakes its pool, whose threads then spin against
 the other pool's: dsyevr for the lowest 6 levels at N = 128 took 4.1 ms right
 after a numpy eigh, against 0.73 ms at one thread. The matrices here are too
-small to gain from a second thread, and without the stall a V with no mirror
-symmetry, such as an isospectral member, can afford its full N = 128 dsyevr
-(0.66 ms, against 0.44 ms for the two parity blocks of an even V).
+small to gain from a second thread, so every basis size is one dense dsyevr.
 """
 
 from __future__ import annotations
@@ -146,12 +144,15 @@ class _SineDVR:
     and for the sinh map the two terms after V add up to (5 f - 7 f^2)/(4 a^2).
 
     V sampled at 2 _SAMPLES + 1 points of the interval places the map: x_c is
-    the interval's centre where the samples are mirror-symmetric (so an even
-    V keeps the parity blocks), else their minimum, and a = 2 (2/V'')^(1/4),
-    twice the oscillator length of V's curvature at that minimum (psi_0 ~
-    exp(-x^2 / 2 l^2) with l = (2/V'')^(1/4)). Where V'' <= 0 there, a = 2
-    |V'|^(-1/3), twice the Airy length of V's slope, and a = inf, the uniform
-    grid x = x_c + s, only where V is flat at the minimum. On the 160
+    the interval's centre where the samples are mirror-symmetric, else their
+    minimum. The centre serves a symmetric double well, whose minimum is off
+    centre: V = 4 (x^2 - 4)^2 on (-8, 8) with open ends settles at N = 256
+    mapped about 0, and needs N = 512 and about three times the time mapped
+    about one of its minima. a = 2 (2/V'')^(1/4) is twice the oscillator
+    length of V's curvature at the minimum (psi_0 ~ exp(-x^2 / 2 l^2) with
+    l = (2/V'')^(1/4)). Where V'' <= 0 there, a = 2 |V'|^(-1/3), twice the
+    Airy length of V's slope, and a = inf, the uniform grid x = x_c + s,
+    only where V is flat at the minimum. On the 160
     whole-line catalog draws of perfbench's seeds 1-10, a = 2 l and 2.5 l
     converge by N = 256 and a = 3 l needs N = 512 for two of them; at a = l
     the median level error was 1.8 times that at 2 l (seeds 1-5). An end of
@@ -201,13 +202,14 @@ class _SineDVR:
 
     def levels(self, v, n: int, count: int) -> list[_Levels]:
         m, length = n + 1, self.s_hi - self.s_lo
-        # nodes placed as mirror images about the centre, so an even V is seen as even
+        # nodes placed as mirror images about the centre: an even V is sampled even to the last bit
         s = 0.5 * (self.s_lo + self.s_hi) + 0.5 * length * (np.arange(1 - n, n + 1, 2) / m)
         f = np.cosh(s / self.a) ** -2.0
         vx = _potential_at(v, self.xc + (self.a * np.sinh(s / self.a) if self.a < math.inf else s))
         # T_ij = p(|i-j|) - p(i+j+2) for i, j = 0..n-1, with
-        # p(k) = (-1)^k / sin^2(pi k / 2m), p(0) = (2m^2+1)/3, in units of (pi/L)^2/2,
-        # and p(2m - k) = p(k) exactly, so that an even V gives a persymmetric H
+        # p(k) = (-1)^k / sin^2(pi k / 2m), p(0) = (2m^2+1)/3, in units of (pi/L)^2/2;
+        # p(2m - k) = p(k), and the minimum keeps sin's argument at or below pi/2,
+        # where sin has full relative accuracy
         k = np.arange(2 * m)
         with np.errstate(divide="ignore"):
             p = np.where(k % 2, -1.0, 1.0) / np.sin(np.pi * np.minimum(k, 2 * m - k) / (2 * m)) ** 2
@@ -217,21 +219,7 @@ class _SineDVR:
         h *= np.add.outer(f, f)
         h *= 0.25 * (math.pi / length) ** 2
         h[np.diag_indices(n)] += vx + (5.0 * f - 7.0 * f * f) / (4.0 * self.a**2)
-        if np.array_equal(h, h[::-1, ::-1]):
-            # H commutes with the reflection J: the even states [u; Ju] and the
-            # odd states [u; -Ju] come from the blocks A +- B of half the size,
-            # A = H[:n/2, :n/2] and B_ij = H(i, n-1-j) (n is a power of two, so even)
-            half = n // 2
-            solves = [
-                (sign, *_eigh_lowest(h[:half, :half] + sign * h[:half, : half - 1 : -1], min(count, half)))
-                for sign in (1.0, -1.0)
-            ]
-            energies = np.concatenate([e for _, e, _ in solves])
-            coef = np.hstack([np.vstack((u, sign * u[::-1])) for sign, _, u in solves]) / math.sqrt(2.0)
-            order = np.argsort(energies, kind="stable")[:count]
-            energies, coef = energies[order], coef[:, order]
-        else:
-            energies, coef = _eigh_lowest(h, count)
+        energies, coef = _eigh_lowest(h, count)
         edge = float(np.min(vx[[0, -1]], where=self.open, initial=math.inf))
         return [_Levels(energies, coef, coef * (math.sqrt(m / length) * f**0.25)[:, None], edge, self.psi)]
 
@@ -427,17 +415,16 @@ def spectral_bound_states(
     selects the extension of its ground state exp(-int W). The bases:
     - no wall: sine DVR on the sinh map x = x_c + a sinh(s/a). V sampled on
       interval places it: x_c is the centre where the samples are
-      mirror-symmetric (an even V keeps its parity blocks), else their
-      minimum, and a = 2 (2/V''(min))^(1/4), twice the oscillator length of
-      the well, or a = inf (uniform nodes) where V'' <= 0 there, as for a
-      flat V; so V = 0 on (0, pi) with closed ends is the uniform box with
-      E = n^2. With an open end, one probe solve at N = 64 on nodes that
-      reach x_c -+ 3000 gives the top level E_top (its continuum edge if
-      that level is not bound); each open end then reaches where
-      int sqrt(V - E_top) dx from the outer turning point is 18 (psi^2 ~
-      e^-36), or 3e4 from x_c where V never rises that far, never short of
-      the interval's end, and stops at the interval's end where V at that
-      reach is not finite or above 1e6;
+      mirror-symmetric, else their minimum, and a = 2 (2/V''(min))^(1/4),
+      twice the oscillator length of the well, or a = inf (uniform nodes)
+      where V'' <= 0 there, as for a flat V; so V = 0 on (0, pi) with closed
+      ends is the uniform box with E = n^2. With an open end, one probe
+      solve at N = 64 on nodes that reach x_c -+ 3000 gives the top level
+      E_top (its continuum edge if that level is not bound); each open end
+      then reaches where int sqrt(V - E_top) dx from the outer turning point
+      is 18 (psi^2 ~ e^-36), or 3e4 from x_c where V never rises that far,
+      never short of the interval's end, and stops at the interval's end
+      where V at that reach is not finite or above 1e6;
     - one wall: Lagrange-Laguerre mesh on the half line from that wall, whose
       scales the interval length sets; its far end is always open;
     - two walls: Lagrange-Jacobi mesh on interval.

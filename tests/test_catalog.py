@@ -133,21 +133,23 @@ def test_a_level_above_the_far_node_is_flagged_not_bound():
     assert messages == [f"state {entry.n_bound} is not below V = 9 at the far node: not bound"], messages
 
 
-def test_an_even_well_keeps_the_parity_blocks(monkeypatch):
-    # sech^2 with B = 3 is even about the centre of its box: the engine solves
-    # blocks of half the basis size, never the full matrix
+def test_a_symmetric_double_well_is_mapped_about_its_centre(monkeypatch):
+    # V = 4 (x^2 - 4)^2 has its minima at +-2: mapped about the interval's
+    # centre, not one minimum, the two tunnelling doublets settle at N = 256
+    # (centred on the minimum at x = -2 they need N = 512)
     import susyqm.spectral as spectral
 
-    basis, matrix = [], []
-    levels, eigh = spectral._SineDVR.levels, spectral._eigh_lowest
+    basis = []
+    levels = spectral._SineDVR.levels
     monkeypatch.setattr(
         spectral._SineDVR, "levels", lambda self, v, n, count: basis.append(n) or levels(self, v, n, count)
     )
-    monkeypatch.setattr(spectral, "_eigh_lowest", lambda h, count: matrix.append(h.shape[0]) or eigh(h, count))
-    entry = sip_lookup("sech2", B=3.0)
-    spec, _ = sip_spectrum(entry, 2)
-    assert [p.energy for p in numeric_levels(entry, 3)] == pytest.approx(spec, abs=1e-10)
-    assert max(matrix) == max(basis) // 2
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        pairs = spectral.spectral_bound_states(lambda x: 4.0 * (x * x - 4.0) ** 2, (-8.0, 8.0), 4, walls=(None, None))
+    assert max(basis) == 256
+    assert [p.nodes for p in pairs] == [0, 1, 2, 3]
+    assert 0.0 < pairs[1].energy - pairs[0].energy < 1e-6 and 0.0 < pairs[3].energy - pairs[2].energy < 1e-4
 
 
 def test_whole_line_wells_stop_at_n_128(monkeypatch):
@@ -413,6 +415,17 @@ def test_hierarchy_potential_spectrum_shift():
     x = np.array([0.5, 1.5])
     # oscillator hierarchy members are all the same well shifted up
     assert np.allclose(v(x), entry.v1(x) + shift)
+
+
+def test_the_hierarchy_ends_one_past_the_last_bound_state():
+    # sech2 B = 2 has two bound states: member 3 is the flat V = 4 with shift 4, and past it the chain
+    # would lower the shift (3 at s = 4); morse A = 3 has three, and s = 9 would need A = -5
+    v, shift = hierarchy_potential(sip_lookup("sech2", B=2.0), 3)
+    assert shift == pytest.approx(4.0) and v(np.linspace(-5.0, 5.0, 11)) == pytest.approx(4.0)
+    hierarchy_potential(sip_lookup("morse"), 4)
+    for entry, s, top in ((sip_lookup("sech2", B=2.0), 4, 3), (sip_lookup("morse"), 9, 4), (sip_lookup("morse"), 0, 4)):
+        with pytest.raises(CatalogError, match=f"s = 1 to {top}, got s = {s}$"):
+            hierarchy_potential(entry, s)
 
 
 def test_well_hierarchy_values():

@@ -217,6 +217,46 @@ def test_a_parameter_too_large_for_the_closed_forms_is_a_numeric_failure(capsys,
     assert err.startswith(f"numeric failure in {subcommand}: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "argv, bound",
+    [
+        (["--potential", "rosen_morse2"], 2.0),  # W- = -3.75, W+ = 4.25: E = k^2 + W-^2 <= W+^2 for k <= 2
+        (["--potential", "rosen_morse2", "--side", "2", "--k", "2.5,2"], 2.0),
+        (["--w-expr", "tanh(x) + 0.5", "--grid=-16,16,2001", "--hbar", "2", "--k", "0.7,1"], math.sqrt(2.0) / 2.0),
+    ],
+    ids=["rosen_morse2-default-k", "rosen_morse2-side2", "w-expr-hbar2"],
+)
+def test_scatter_with_a_closed_right_channel_is_a_configuration_error(capsys, argv, bound):
+    code = main(["scatter", *argv])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err.startswith("configuration error: --k ") and err.count("\n") == 1
+    assert float(err.rsplit("= ", 1)[1]) == pytest.approx(bound, rel=1e-12)
+
+
+def test_scatter_above_the_right_threshold(capsys):
+    code, out = run(capsys, "scatter", "--potential", "rosen_morse2", "--k", "2.5,3")
+    assert code == 0
+    for k, energy, _, _, _, _, prob_r, prob_t in parse_csv(out)[1]:
+        assert energy == pytest.approx(k * k + 3.75**2) and prob_r + prob_t == pytest.approx(1.0, abs=1e-10)
+
+
+@pytest.mark.parametrize("argv, top", [(["sech2", "--params", "B=2", "--hierarchy", "4"], 3), (["morse", "--hierarchy", "9"], 4)])
+def test_partner_hierarchy_past_its_last_member_is_a_configuration_error(capsys, argv, top):
+    code = main(["partner", "--potential", *argv])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err == f"configuration error: {argv[0]} has hierarchy members s = 1 to {top}, got s = {argv[-1]}\n"
+
+
+def test_partner_hierarchy_last_member(capsys):
+    # sech2 B = 2 keeps two bound states, so member 3 has none: the flat V = 4
+    code, out = run(capsys, "partner", "--potential", "sech2", "--params", "B=2", "--hierarchy", "3", "--format", "json")
+    env = json.loads(out)
+    assert code == 0 and env["diagnostics"]["ground_energy_shift"] == pytest.approx(4.0)
+    assert [v for _, v in env["outputs"]["rows"]] == pytest.approx([4.0] * len(env["outputs"]["rows"]))
+
+
 def test_scatter_steps_must_be_positive(capsys):
     assert main(["scatter", "--potential", "sech2", "--steps", "0"]) == 2
     assert "--steps" in capsys.readouterr().err
@@ -229,6 +269,17 @@ def test_swkb_table(capsys):
     for n, e_exact, e_swkb, e_wkb in rows:
         assert e_swkb == pytest.approx(e_exact, abs=1e-7)
         assert e_wkb == pytest.approx(e_exact, abs=1e-7)
+
+
+def test_swkb_leaves_out_the_wkb_column_where_wkb_does_not_apply(capsys):
+    # plain WKB is not exact for sech2: no e_wkb column rather than one of nan
+    code, out = run(capsys, "swkb", "--potential", "sech2", "--params", "B=2")
+    assert code == 0 and "nan" not in out
+    header, rows = parse_csv(out)
+    assert header == ["n", "e_exact", "e_swkb"]
+    assert [row[2] for row in rows] == pytest.approx([0.0, 3.0], abs=1e-12)
+    code, out = run(capsys, "swkb", "--potential", "sech2", "--params", "B=2", "--format", "json")
+    assert code == 0 and json.loads(out)["outputs"]["columns"] == ["n", "e_exact", "e_swkb"]
 
 
 def test_swkb_reports_a_truncated_level_request(capsys):
@@ -317,6 +368,20 @@ def test_figures_box_and_partner_states_match_the_spectral_engine(tmp_path, caps
         for pair in spectral_bound_states(well_hierarchy_potential(p), (0, math.pi), 2, (True, True), 2001)
     ]
     assert np.abs(table[:, 3:] - np.column_stack(engine)).max() <= 1e-10
+
+
+def test_figures_writes_each_isospectral_member_at_its_own_x(tmp_path):
+    # the member callables of a family on a wider grid are the oracle at every written x
+    from susyqm import Grid, IsoFamily, sip_lookup
+
+    assert main(["figures", "--outdir", str(tmp_path)]) == 0
+    with open(tmp_path / "isospectral_oscillator_potentials.csv", encoding="utf-8") as fh:
+        header = fh.readline().strip().split(",")
+    table = np.loadtxt(tmp_path / "isospectral_oscillator_potentials.csv", delimiter=",", skiprows=1)
+    fam = IsoFamily.build(sip_lookup("shifted_oscillator").superpotential(), Grid(-16.0, 16.0, 4001))
+    for name, column in zip(header[1:], table[:, 1:].T):
+        lam = float(name.removeprefix("lam_"))
+        assert np.abs(column - fam.member(lam)(table[:, 0])).max() <= 1e-8, name
 
 
 _WRITERS = {
