@@ -63,9 +63,11 @@ from .scattering import (
 )
 
 # swkb is compiled only by the commands that quantize, and the spectral engine
-# (which needs scipy.linalg) only by `check`, the one command that solves a
-# callable V (`figures` writes its box states in closed form): their names are
-# imported on first access (PEP 562) rather than with the package.
+# only by `check`, the one command that solves a callable V (`figures` writes
+# its box states in closed form): their names are imported on first access
+# (PEP 562) rather than with the package. The engine's LAPACK is numpy's
+# bundled OpenBLAS (see _lapack); only where numpy bundles none does it load
+# scipy.linalg.
 _SWKB_NAMES = ("Mode", "QuantizationProblem", "QuantizeError", "exactness_audit", "quantize")
 
 

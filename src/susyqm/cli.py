@@ -11,8 +11,10 @@ configuration error; inf and nan are refused where numbers are parsed (exit
 "warning: ...". A reader that closes stdout early (`susyqm check | head -3`)
 ends the run quietly with exit 1. Each subcommand defines only the flags its
 handler reads.
-Only `check` loads scipy (`scipy.linalg`, for the bound-state solvers); the
-other commands load none, and `figures` writes its states in closed form.
+No command loads scipy where numpy bundles its OpenBLAS: the bound-state
+solvers of `check` call that library's LAPACK (see _lapack), and `figures`
+writes its states in closed form. Where numpy bundles none, `check` loads
+scipy.linalg for those calls and the other commands load no scipy.
 """
 
 from __future__ import annotations
@@ -387,17 +389,25 @@ def _cmd_figures(args: argparse.Namespace) -> int:
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
-    # the suite and the spectral engine (with scipy.linalg) are imported as a
-    # stage of their own, so the first check's time is its own work
+    # the suite, the spectral engine, the solvers' LAPACK (numpy's bundled
+    # OpenBLAS, or scipy.linalg where numpy bundles none) and the numpy
+    # submodules that numpy loads on first use are loaded as a stage of their
+    # own, so each check's time is its own work
     start = time.perf_counter()
+    import numpy.fft  # noqa: F401
+    import numpy.polynomial  # noqa: F401
+    import numpy.random  # noqa: F401
+
     from . import spectral  # noqa: F401
+    from ._lapack import lapack
     from .selfcheck import run_all
 
+    library = lapack()
     import_seconds = time.perf_counter() - start
     if args.out_format == "json":
         results = run_all()
         checks = [asdict(r) for r in results]
-        diagnostics = {"seconds": sum(r.seconds for r in results), "import_seconds": import_seconds}
+        diagnostics = {"seconds": sum(r.seconds for r in results), "import_seconds": import_seconds, "lapack": library}
         _emit_json(args, {"checks": checks}, diagnostics)
     else:  # one line per check as it finishes
         with _output_stream(args) as stream:
@@ -528,7 +538,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--levels", type=_int_from(1), default=4)
 
     p = add("bands", "band edges of a periodic well", output, params)
-    p.add_argument("--lame", type=_lame, help="a=1 or a=2 elliptic well")
+    p.add_argument("--lame", type=_lame, help="a=N elliptic well, N >= 1 (closed-form edges for N <= 2)")
     p.add_argument("--m", type=_finite_float, help="elliptic parameter of --lame, in (0,1); default 0.5")
     p.add_argument("--count", type=_int_from(1), help="number of edges")
     p.add_argument("--v-expr", dest="v_expr", help="inline periodic potential expression")

@@ -14,10 +14,12 @@ dirichlet_tridiagonal is the one assembly of that stencil: every grid of the
 cascade and the direct route of core.algebra_check use it. EigenPair is the
 level type of every solver. A callable V, catalog wells and the well ladder
 included, goes to the spectral engine in spectral; band edges of periodic
-wells come from the Fourier-Floquet-Hill solver in periodic. scipy is
-imported on use, which keeps it off the CLI's start-up. The norms and dot
-products between LAPACK calls are np.einsum, not numpy's BLAS, whose thread
-pool would otherwise hold the cores scipy's LAPACK waits for (see spectral).
+wells come from the Fourier-Floquet-Hill solver in periodic. The LAPACK
+calls go through _lapack, imported on use, to numpy's bundled OpenBLAS, which
+loads no scipy (to scipy.linalg.lapack where numpy bundles none). The norms
+and dot products between LAPACK calls are np.einsum, not numpy's BLAS, whose
+thread pool would otherwise hold the cores scipy's LAPACK waits for on that
+fallback (see spectral).
 """
 
 from __future__ import annotations
@@ -74,9 +76,9 @@ def dirichlet_tridiagonal(v: np.ndarray, h: float, c2: float) -> tuple[np.ndarra
 
 def lowest_eigenvalues(d: np.ndarray, e: np.ndarray, count: int) -> np.ndarray:
     """The lowest min(count, d.size) eigenvalues of the tridiagonal (d, e)."""
-    from scipy.linalg import eigh_tridiagonal  # imported on use: keeps scipy off the CLI's start-up
+    from . import _lapack  # on use: a process that never solves does not compile it
 
-    return eigh_tridiagonal(d, e, select="i", select_range=(0, min(count, d.size) - 1), eigvals_only=True)
+    return _lapack.lowest(d, e, min(count, d.size))
 
 
 def _strides(n_points: int) -> list[int]:
@@ -94,10 +96,10 @@ def _strides(n_points: int) -> list[int]:
 def _bisected(v: np.ndarray, h: float, count: int) -> tuple[np.ndarray, list]:
     """The lowest min(count, interior points) eigenpairs of the grid v by
     bisection, each vector on the whole grid with zero ends."""
-    from scipy.linalg import eigh_tridiagonal
+    from . import _lapack
 
     d, e = dirichlet_tridiagonal(v, h, 1.0)
-    energies, vecs = eigh_tridiagonal(d, e, select="i", select_range=(0, min(count, d.size) - 1))
+    energies, vecs = _lapack.lowest(d, e, min(count, d.size), vectors=True)
     return energies, list(np.pad(vecs.T, ((0, 0), (1, 1))))
 
 
@@ -120,7 +122,7 @@ def _rqi(v: np.ndarray, off: float, sigma: float, psi: np.ndarray, rounding: flo
     or at most rounding on the first step, whose shift is the coarser grid's
     O(h^2) energy; None if that takes more than _RQI_STEPS steps.
     """
-    from scipy.linalg.lapack import dgtsv
+    from . import _lapack
 
     q, vq = psi[1:-1], v[1:-1]
     # three buffers for dgtsv to overwrite, which then hold T q: a step allocates nothing
@@ -130,7 +132,7 @@ def _rqi(v: np.ndarray, off: float, sigma: float, psi: np.ndarray, rounding: flo
         upper.fill(off)
         np.add(vq, -2.0 * off - sigma, out=diag)
         # one O(n) solve of (T - sigma) y = q, written over the buffers and q
-        if dgtsv(lower[1:], diag, upper[:-1], q[:, None], 1, 1, 1, 1)[-1] != 0:
+        if _lapack.gtsv(lower[1:], diag, upper[:-1], q) != 0:
             return None
         norm = math.sqrt(np.einsum("i,i->", q, q))
         if not 0.0 < norm < math.inf:
@@ -150,12 +152,10 @@ def _rqi(v: np.ndarray, off: float, sigma: float, psi: np.ndarray, rounding: flo
 
 def _count_at_or_below(v: np.ndarray, h: float, x: float) -> int:
     """How many eigenvalues of the grid v's tridiagonal are at or below x: a Sturm count."""
-    from scipy.linalg.lapack import dstebz
+    from . import _lapack
 
     d, e = dirichlet_tridiagonal(v, h, 1.0)
-    lo = d.min() - 2.0 * abs(e[0]) - 1.0  # below every eigenvalue
-    # an abstol wider than (lo, x]: dstebz counts and bisects nothing
-    return dstebz(d, e, 1, lo, x, 0, 0, 2.0 * (x - lo), b"E")[0]
+    return _lapack.count_in(d, e, d.min() - 2.0 * abs(e[0]) - 1.0, x)  # from below every eigenvalue
 
 
 def _refined(v: np.ndarray, h: float, energies: np.ndarray, vectors: list):

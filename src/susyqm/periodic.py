@@ -250,7 +250,7 @@ def _hill_edges(
             stacklevel=3,
         )
     levels = []
-    with one_blas_thread():  # numpy's eigh stalls against scipy's pool at more than one BLAS thread
+    with one_blas_thread():  # on the scipy fallback, numpy's eigh stalls against scipy's pool at 2+ threads
         for tag, cos_f, sin_f in (
             ("L", np.arange(0, 2 * modes + 1, 2), np.arange(2, 2 * modes + 1, 2)),
             ("2L", np.arange(1, 2 * modes, 2), np.arange(1, 2 * modes, 2)),

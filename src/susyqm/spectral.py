@@ -29,19 +29,20 @@ the same agreement), and that change is each level's error estimate. psi on a
 uniform grid is built only when first read. The module is imported on first
 use, so the commands that never solve a callable V do not load it.
 
-Nothing here calls numpy's BLAS (@, np.dot, np.linalg): numpy and scipy each
-bundle an OpenBLAS with its own thread pool, and with more than one BLAS
-thread a numpy BLAS call between two LAPACK calls leaves numpy's threads
+The LAPACK calls (dsyevr, and dstevd for the Gauss nodes) go through _lapack
+to numpy's bundled OpenBLAS, the one OpenBLAS of the process, and load no
+scipy. Where numpy bundles none they go to scipy.linalg.lapack, and numpy and
+scipy then each bring an OpenBLAS with its own thread pool. For that fallback
+nothing here calls numpy's BLAS (@, np.dot, np.linalg): with more than one
+BLAS thread a numpy BLAS call between two LAPACK calls leaves numpy's threads
 spinning on the cores that scipy's then wait for (on 2 cores, dsyevr at N =
 128 after a 64000-point norm took 8-14 ms against 1 ms). Products and
-reductions are np.einsum, which computes in numpy's own loops.
-
-The solve itself runs inside _blas.one_blas_thread(), which sets both
-bundled OpenBLAS pools to one thread and restores their counts after. At two
-BLAS threads a LAPACK call wakes its pool, whose threads then spin against
-the other pool's: dsyevr for the lowest 6 levels at N = 128 took 4.1 ms right
-after a numpy eigh, against 0.73 ms at one thread. The matrices here are too
-small to gain from a second thread, so every basis size is one dense dsyevr.
+reductions are np.einsum, which computes in numpy's own loops. On either
+library the solve runs inside _blas.one_blas_thread(), which sets every
+bundled pool to one thread and restores its count after: the matrices here
+are too small to gain from a second thread, and at two a dsyevr for the
+lowest 6 levels at N = 96 to 128 took 8 to 24 ms against under 1 ms at one
+(see _blas). Every basis size is one dense dsyevr.
 """
 
 from __future__ import annotations
@@ -53,9 +54,8 @@ from functools import partial
 from typing import Callable
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
-from scipy.linalg.lapack import dsyevr
 
+from . import _lapack
 from ._blas import one_blas_thread
 from .core import wall_exponent
 from .eigensolver import EigenPair, SolverError
@@ -89,10 +89,10 @@ def _eigh_lowest(h: np.ndarray, count: int):
     well ladder at N = 128 the default loses 2e-10 where this keeps 6e-13.
     """
     # h.T is h in Fortran order, so LAPACK works in place instead of on a copy
-    w, z, *_, info = dsyevr(h.T, range="I", il=1, iu=count, abstol=np.finfo(float).tiny, overwrite_a=1)
+    w, z, info = _lapack.syevr(h.T, count, np.finfo(float).tiny)
     if info:
         raise SolverError(f"LAPACK dsyevr failed with info = {info}")
-    return w[:count], z[:, :count]
+    return w, z
 
 
 @dataclass(frozen=True)
@@ -310,7 +310,7 @@ class _WallMesh:
         on its node and Phi p_n / (y - y_i) sign(a_i) / sqrt(C) elsewhere."""
         if n not in self._memo:
             d, e, _, c = self._rule(n)
-            y = eigh_tridiagonal(d[:n], e[: n - 1], eigvals_only=True)
+            y = _lapack.eigenvalues(d[:n], e[: n - 1])
             tail, prev = self._tails(y, n)
             slope = c * e[n - 1] * prev / self._envelope(y)[0]  # Phi p_n' at the nodes
             self._memo[n] = (y - tail / slope, slope / math.sqrt(c))  # one Newton step

@@ -1,6 +1,8 @@
 """The bound-state kernels never call numpy's BLAS, and the dense solves run on one BLAS thread.
 
-numpy and scipy each bundle their own OpenBLAS with its own thread pool. With
+Where numpy bundles its OpenBLAS, the solvers' LAPACK runs on it (see
+test_lapack.py) and the process holds one OpenBLAS and one thread pool. On the
+scipy fallback numpy and scipy each bring an OpenBLAS with its own pool. With
 more than one BLAS thread, a numpy BLAS call between two scipy LAPACK calls
 leaves numpy's threads spinning on the cores that scipy's then wait for, so
 the solvers reduce with np.einsum, which computes in numpy's own loops, and
@@ -15,7 +17,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from susyqm import _blas, periodic, spectral
+from susyqm import _blas, _lapack, periodic, spectral
 from susyqm._blas import one_blas_thread
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "susyqm"
@@ -146,7 +148,7 @@ def test_the_solvers_run_their_lapack_calls_inside_the_scope(fake_pools, monkeyp
 
         return wrapped
 
-    monkeypatch.setattr(spectral, "dsyevr", counting(spectral.dsyevr))
+    monkeypatch.setattr(_lapack, "syevr", counting(_lapack.syevr))
     monkeypatch.setattr(np.linalg, "eigh", counting(np.linalg.eigh))
     lv = spectral.spectral_bound_states(lambda x: x * x, (-8.0, 8.0), 3, walls=(None, None))
     assert [p.energy for p in lv] == pytest.approx([1.0, 3.0, 5.0], abs=1e-9)

@@ -57,6 +57,20 @@ def test_bands_lame_writes_no_nan(capsys, argv):
     assert all(math.isfinite(v) for row in env["outputs"]["rows"] for v in row)
 
 
+def test_bands_lame_three_gives_its_seven_edges(capsys):
+    # any integer a >= 1 runs; only the closed-form column stops at a = 2
+    code, out = run(capsys, "bands", "--lame", "a=3", "--m", "0.5")
+    assert code == 0
+    _, rows = parse_csv(out)
+    energies = [r[0] for r in rows]
+    assert len(rows) == 7 and energies == sorted(energies)
+    # the edges alternate periodic, antiperiodic, antiperiodic, periodic, ...; nodes per period rise in pairs
+    assert [(r[1], r[2]) for r in rows] == [(0, 0), (1, 1), (1, 1), (0, 2), (0, 2), (1, 3), (1, 3)]
+    assert main(["bands", "--help"]) == 0
+    usage = capsys.readouterr().out
+    assert "a=1 or a=2" not in usage and "N >= 1" in usage
+
+
 def test_bands_lame_closed_form_column(capsys):
     code, out = run(capsys, "bands", "--lame", "a=2", "--m", "0.5", "--count", "3", "--format", "json")
     env = json.loads(out)

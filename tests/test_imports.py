@@ -1,4 +1,9 @@
-"""Start-up cost: scipy subpackages load only in the commands that use them."""
+"""Start-up cost: scipy subpackages load only in the commands that use them.
+
+Where numpy bundles its OpenBLAS, the solvers' LAPACK calls go to that library
+(see susyqm._lapack) and no command loads scipy; `check` loads scipy.linalg only
+on the fallback, where numpy bundles none.
+"""
 
 import json
 import os
@@ -9,6 +14,7 @@ from pathlib import Path
 import pytest
 
 import susyqm
+from susyqm import _lapack
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -51,10 +57,15 @@ def test_commands_without_a_solver_load_no_scipy(argv, tmp_path):
 
 
 def test_check_never_loads_scipy_optimize():
-    # the eigensolver needs scipy.linalg; the SWKB checks run on the Brent ports
+    # the solvers' LAPACK is numpy's bundled OpenBLAS, and the SWKB checks run
+    # on the Brent ports; on the fallback the solvers need scipy.linalg, but
+    # never scipy.optimize
     modules = scipy_modules(["check"])
-    assert "scipy.linalg" in modules
-    assert not any(m == "scipy.optimize" or m.startswith("scipy.optimize.") for m in modules)
+    if _lapack.lapack() == "numpy":
+        assert modules == []
+    else:
+        assert "scipy.linalg" in modules
+        assert not any(m == "scipy.optimize" or m.startswith("scipy.optimize.") for m in modules)
 
 
 def test_swkb_names_are_served_by_the_package():
@@ -96,17 +107,37 @@ def test_importing_the_check_suite_loads_no_scipy_and_no_spectral_engine():
     assert json.loads(res.stdout) == [], res.stderr
 
 
+# run `check --format json` in a fresh interpreter, noting the modules the checks themselves load
+STAGE_PROBE = """
+import contextlib, io, json, sys
+from susyqm import cli, selfcheck
+run_all, loaded = selfcheck.run_all, []
+
+def spy(*args, **kwargs):
+    before = set(sys.modules)
+    results = run_all(*args, **kwargs)
+    loaded.extend(sorted(set(sys.modules) - before))
+    return results
+
+selfcheck.run_all = spy
+with contextlib.redirect_stdout(io.StringIO()) as out:
+    code = cli.main(["check", "--format", "json"])
+print(json.dumps([code, loaded, json.loads(out.getvalue())]))
+"""
+
+
 def test_check_times_the_engine_import_as_its_own_stage():
-    # in a fresh process `check` pays the first import of scipy.linalg and the
-    # engine; it is reported apart, and the first check (the well ladder) is
-    # charged only its own solves
+    # in a fresh process `check` pays the first import of the engine and of the
+    # solvers' LAPACK (scipy.linalg on the fallback); it is reported apart as
+    # import_seconds, and the checks import no module, so each check (the well
+    # ladder first) is charged only its own work; the envelope names the
+    # library that served the solvers
     env = dict(os.environ)
     env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
-    res = subprocess.run(
-        [sys.executable, "-m", "susyqm.cli", "check", "--format", "json"],
-        capture_output=True, text=True, env=env, timeout=120,
-    )
+    res = subprocess.run([sys.executable, "-c", STAGE_PROBE], capture_output=True, text=True, env=env, timeout=120)
     assert res.returncode == 0, res.stderr
-    envelope = json.loads(res.stdout)
-    imported = envelope["diagnostics"]["import_seconds"]
-    assert 0.0 < envelope["outputs"]["checks"][0]["seconds"] < imported
+    code, loaded, envelope = json.loads(res.stdout)
+    assert code == 0 and loaded == []
+    assert envelope["diagnostics"]["import_seconds"] > 0.0
+    assert all(check["seconds"] > 0.0 for check in envelope["outputs"]["checks"])
+    assert envelope["diagnostics"]["lapack"] == _lapack.lapack()
