@@ -321,8 +321,7 @@ def _cmd_bands(args: argparse.Namespace) -> int:
             raise ConfigError(str(exc)) from exc
         n_edges = 2 * a + 1 if count is None else count
         v, period = lame_potential(spec), spec.period
-        closed = lame_band_edges(spec) if a in (1, 2) else []
-        diagnostics = {"a": a, "m": m, "period": period, "closed_form": n_edges <= len(closed)}
+        diagnostics = {"a": a, "m": m, "period": period, "closed_form": n_edges <= 2 * a + 1}
     else:
         period = args.period
         if not args.v_expr or period is None:
@@ -333,13 +332,13 @@ def _cmd_bands(args: argparse.Namespace) -> int:
             raise ConfigError(f"--period must be positive, got {_fmt(period)}")
         v = compile_expression(args.v_expr, args.params)
         n_edges = 5 if count is None else count
-        closed, diagnostics = [], {"period": period}
+        diagnostics = {"period": period}
     numeric = numeric_band_edges(v, period, n_edges, n_points=1201)
     columns = ["energy", "antiperiodic", "nodes_per_period"]
     rows = [[e.energy, 0.0 if e.period_tag == "L" else 1.0, e.nodes_per_period] for e in numeric]
-    if diagnostics.get("closed_form"):  # a column only where every edge has its closed form
+    if diagnostics.get("closed_form"):  # built after the Hill solve, which fails fast at a large a
         columns.insert(1, "energy_closed_form")
-        for row, exact in zip(rows, closed):
+        for row, exact in zip(rows, lame_band_edges(spec)):
             row.insert(1, exact.energy)
     _emit(args, columns, rows, diagnostics)
     return 0
@@ -538,7 +537,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--levels", type=_int_from(1), default=4)
 
     p = add("bands", "band edges of a periodic well", output, params)
-    p.add_argument("--lame", type=_lame, help="a=N elliptic well, N >= 1 (closed-form edges for N <= 2)")
+    p.add_argument("--lame", type=_lame, help="a=N elliptic well, N >= 1 (closed-form column up to 2N + 1 edges)")
     p.add_argument("--m", type=_finite_float, help="elliptic parameter of --lame, in (0,1); default 0.5")
     p.add_argument("--count", type=_int_from(1), help="number of edges")
     p.add_argument("--v-expr", dest="v_expr", help="inline periodic potential expression")

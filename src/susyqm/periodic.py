@@ -5,8 +5,8 @@ period L. The partner is self-isospectral when it is V1 moved: W(x + L/2) =
 -W(x) gives V2(x) = V1(x + L/2), and an even W gives V2(x) = V1(-x) (Dunne &
 Feinberg, Phys. Rev. D 57 (1998) 1271). classify_pair finds such a shift or
 reflection on the samples of V1 and V2. The Lame wells p m sn^2(x, m) with
-p = a(a+1) supply closed-form band edges for a = 1, 2, and for a = 2 a
-partner potential outside the classical solvable lists.
+p = a(a+1), a = 1, 2, ..., supply 2a + 1 closed-form band edges and, from
+a = 2 on, partner potentials outside the classical solvable lists.
 """
 
 from __future__ import annotations
@@ -92,7 +92,7 @@ class LameSpec:
     m: float
 
     def __post_init__(self):
-        if self.a < 1:
+        if not isinstance(self.a, (int, np.integer)) or self.a < 1:
             raise PeriodicError("order a must be a positive integer")
         if not 0.0 < self.m < 1.0:
             raise PeriodicError(f"elliptic parameter m must lie in (0,1), got {self.m}")
@@ -105,10 +105,6 @@ class LameSpec:
     def period(self) -> float:
         return 2.0 * elliptic_K(self.m)
 
-    @property
-    def delta(self) -> float:
-        return math.sqrt(1.0 - self.m + self.m**2)
-
 
 def lame_potential(spec: LameSpec) -> Callable:
     """V(x) = p m sn^2(x, m), period 2K(m)."""
@@ -120,25 +116,31 @@ def lame_potential(spec: LameSpec) -> Callable:
     return v
 
 
-def lame_band_edges(spec: LameSpec) -> list[BandEdge]:
-    """Closed-form band edges of the a = 1 and a = 2 wells.
+def _lame_matrix(a: int, m: float, eps: int, delta: int, gamma: int) -> np.ndarray:
+    """The recurrence of sn^eps cn^delta dn^gamma sum_k c_k sn^(2k): [j, k] is c_k's share of sn^(2j)."""
+    k = np.arange((a - eps - delta - gamma) // 2 + 1)
+    n = 2 * k + eps + delta + gamma
+    h = np.diag((2 * k + eps + delta) ** 2 + m * (2 * k + eps + gamma) ** 2)
+    h[k[:-1], k[1:]] = -2 * k[1:] * (2 * k[1:] + 2 * eps - 1)
+    h[k[1:], k[:-1]] = m * (a - n[:-1]) * (a + n[:-1] + 1)
+    return h
 
-    a = 1: one bound band [m, 1] then continuum from 1 + m.
-    a = 2: bands [2+2m-2d, 1+m] and [1+4m, 4+m], continuum from 2+2m+2d,
-    with d = sqrt(1 - m + m^2).
+
+def lame_band_edges(spec: LameSpec) -> list[BandEdge]:
+    """The 2a + 1 closed-form band edges of the order-a well, tagged.
+
+    The edge states are the Lame polynomials sn^eps cn^delta dn^gamma
+    sum_k c_k sn^(2k), eps + delta + gamma = a mod 2 (Arscott, Periodic
+    Differential Equations, 1964, ch. IX; Whittaker & Watson sec. 23.4), whose
+    c_k obey a three-term recurrence: the edges are the eigenvalues of the
+    four classes' tridiagonal matrices, real though each off-diagonal pair has
+    a negative product, so that the matrices are not symmetric.
     """
-    m = spec.m
-    if spec.a == 1:
-        vals = [m, 1.0, 1.0 + m]
-    elif spec.a == 2:
-        d = spec.delta
-        vals = [2 + 2 * m - 2 * d, 1 + m, 1 + 4 * m, 4 + m, 2 + 2 * m + 2 * d]
-    else:
-        raise PeriodicError(
-            f"closed-form edges are available for a in {{1, 2}} only, got a={spec.a}; "
-            "use numeric_band_edges instead"
-        )
-    return _tag_edges(vals)
+    energies = []
+    for eps, delta, gamma in np.ndindex(2, 2, 2):
+        if (eps + delta + gamma) % 2 == spec.a % 2:
+            energies.extend(np.linalg.eigvals(_lame_matrix(spec.a, spec.m, eps, delta, gamma)).real)
+    return _tag_edges(sorted(energies))
 
 
 def _tag_edges(energies: list[float]) -> list[BandEdge]:
@@ -152,27 +154,29 @@ def _tag_edges(energies: list[float]) -> list[BandEdge]:
 
 
 def lame_partner(spec: LameSpec) -> tuple[Callable, Callable, Callable]:
-    """The a = 2 ground-band factorization: (V1, W, V2) as callables.
+    """The ground-band factorization of the order-a well: (V1, W, V2) as callables.
 
-    V1 = -2 - 2m + 2d + 6m sn^2 (the a = 2 well shifted so its lowest edge is
-    zero), with nodeless periodic ground state psi0 = 1 + m + d - 3m sn^2 and
-    W = 6m sn cn dn / psi0. V2 = 2W^2 - V1 is a genuinely new periodic well:
-    it is isospectral to V1 but neither a shift nor a reflection of it.
+    psi0 = dn^g P(sn^2), g = a mod 2, is the nodeless Lame polynomial (Arscott
+    1964, ch. IX; Whittaker & Watson sec. 23.4), P following from c_0 = 1 by
+    the recurrence at its edge E0; dn' = -m sn cn and (sn^2)' = 2 sn cn dn give
+    W = -psi0'/psi0. V1 = p m sn^2 - E0, and V2 = 2W^2 - V1 is isospectral to
+    it: for a = 1 its half-period translate, for a = 2 neither shift nor mirror.
     """
-    if spec.a != 2:
-        raise PeriodicError("the closed-form partner construction needs a = 2")
-    m, d = spec.m, spec.delta
-    shift = -2.0 - 2.0 * m + 2.0 * d
-
-    floor = 1.0 + m + d - 3.0 * m
-    if floor <= 0:
-        raise PeriodicError("ground-state polynomial is not strictly positive")
+    m, g = spec.m, spec.a % 2
+    h = _lame_matrix(spec.a, m, 0, 0, g)
+    e0 = float(min(np.linalg.eigvals(h).real))
+    c = [1.0]
+    for k in range(len(h) - 1):  # row k of (h - E0) c = 0 gives c_(k+1)
+        c.append((e0 * c[k] - h[k, : k + 1] @ c) / h[k, k + 1])
+    c = c[::-1]  # from the highest power of s down, as np.polyval takes it
 
     def parts(x):
         """(psi0, W, V1) from one sn, cn, dn evaluation."""
         sn, cn, dn = (np.asarray(t) for t in jacobi_sn_cn_dn(np.asarray(x, dtype=float), m))
-        psi = 1.0 + m + d - 3.0 * m * sn**2
-        return psi, 6.0 * m * sn * cn * dn / psi, shift + 6.0 * m * sn**2
+        s = sn**2
+        poly = np.polyval(c, s)
+        w = g * m * sn * cn / dn - 2.0 * sn * cn * dn * np.polyval(np.polyder(c), s) / poly
+        return dn**g * poly, w, spec.p * m * s - e0
 
     def psi0(x):
         return parts(x)[0]
@@ -200,9 +204,10 @@ def numeric_band_edges(
     (2006) 296): one FFT of V's n = n_points - 1 unique samples over a period
     gives its harmonics, and the Hill matrix is diagonalized in the real
     cos/sin basis of the periodic (kL = 0, tag "L") and antiperiodic
-    (kL = pi, tag "2L") sectors. The sorted union is tagged by the
-    oscillation theorem, and an edge from the other sector raises
-    PeriodicError. band_edge_states adds each edge's eigenvector.
+    (kL = pi, tag "2L") sectors; each edge is the Rayleigh quotient of its
+    eigenvector. The sorted union is tagged by the oscillation theorem, and
+    an edge from the other sector raises PeriodicError. band_edge_states adds
+    each edge's eigenvector.
 
     A sector keeps N = min(n // 4, 2 j + count // 2 + 10) harmonics, j being
     the last harmonic of V above 1e-15 of the largest; n // 4 is the most for
@@ -265,7 +270,10 @@ def _hill_edges(
             h[np.diag_indices_from(h)] += (math.pi * f / period) ** 2
             energies, vecs = np.linalg.eigh(h)
             keep = min(count // 2 + 2, f.size)
-            levels += [(e, tag, f, c * vecs[:, i]) for i, e in enumerate(energies[:keep])]
+            e, vecs = energies[:keep], vecs[:, :keep]
+            # eigh errs by eps times the kinetic diagonal; a Rayleigh-quotient step leaves about an ulp
+            e = e + np.einsum("ij,ij->j", vecs, np.einsum("ik,kj->ij", h, vecs) - e * vecs)
+            levels += [(e[i], tag, f, c * vecs[:, i]) for i in range(keep)]
     if len(levels) < count:
         raise SolverError(
             f"{n_points} samples resolve {modes} harmonics, too few for count={count} "

@@ -41,7 +41,6 @@ from .periodic import (
     numeric_band_edges,
 )
 from .scattering import numeric_rt_for, reflectionless_T
-from .special import elliptic_K, jacobi_sn_cn_dn
 from .swkb import Mode, QuantizeError, exactness_audit, problem_for_entry, quantize
 
 
@@ -267,18 +266,11 @@ def check_lame_one() -> CheckResult:
     """Single-band elliptic well: edges {m, 1, 1+m}; partner is self-isospectral."""
     name = "elliptic well a=1 band edges and self-isospectrality"
     worst = _lame_edge_dev(1)
-    m = 0.5
-    period = 2.0 * elliptic_K(m)
-
-    def w_fn(x):
-        sn, cn, dn = jacobi_sn_cn_dn(np.asarray(x, dtype=float), m)
-        return m * np.asarray(sn) * np.asarray(cn) / np.asarray(dn)
-
-    # W(x + L/2) = -W(x), so the partner is the well moved by half a period; the
-    # shifts tried are period / 1000 apart, and isclose keeps only the half period
-    w = Superpotential(w_fn)
-    label, shift = classify_pair(w.v1, w.v2, period)
-    passed = worst <= 1e-4 and label == "translation" and math.isclose(shift, period / 2)
+    spec = LameSpec(1, 0.5)
+    # W = m sn cn / dn has W(x + L/2) = -W(x); of the shifts tried, period / 1000 apart, only L/2 passes
+    v1, _, v2 = lame_partner(spec)
+    label, shift = classify_pair(v1, v2, spec.period)
+    passed = worst <= 1e-4 and label == "translation" and math.isclose(shift, spec.period / 2)
     return _result(name, passed, f"max edge dev {worst:.2e}, partner class {label!r} by {shift}")
 
 

@@ -44,40 +44,57 @@ def test_bands_lame_one(capsys):
     assert [r[0] for r in rows] == pytest.approx([0.5, 1.0, 1.5], abs=1e-7)
 
 
-@pytest.mark.parametrize("argv", [["a=3"], ["a=1", "--count", "5"]], ids=["a3", "a1-count5"])
-def test_bands_lame_writes_no_nan(capsys, argv):
-    # a >= 3, or more edges than 2a + 1, have no closed form: the column is left out, not filled with nan
+@pytest.mark.parametrize(
+    "argv, closed_form", [(["a=3"], True), (["a=1", "--count", "5"], False)], ids=["a3", "a1-count5"]
+)
+def test_bands_lame_writes_no_nan(capsys, argv, closed_form):
+    # every a has 2a + 1 closed-form edges; past them the column is left out, not filled with nan
+    columns = ["energy", "antiperiodic", "nodes_per_period"]
+    if closed_form:
+        columns.insert(1, "energy_closed_form")
     code, out = run(capsys, "bands", "--lame", *argv, "--m", "0.5")
     assert code == 0 and "nan" not in out
-    assert out.splitlines()[0] == "energy,antiperiodic,nodes_per_period"
+    assert out.splitlines()[0] == ",".join(columns)
     code, out = run(capsys, "bands", "--lame", *argv, "--m", "0.5", "--format", "json")
     env = json.loads(out)
-    assert code == 0 and env["diagnostics"]["closed_form"] is False
-    assert env["outputs"]["columns"] == ["energy", "antiperiodic", "nodes_per_period"]
+    assert code == 0 and env["diagnostics"]["closed_form"] is closed_form
+    assert env["outputs"]["columns"] == columns
     assert all(math.isfinite(v) for row in env["outputs"]["rows"] for v in row)
 
 
 def test_bands_lame_three_gives_its_seven_edges(capsys):
-    # any integer a >= 1 runs; only the closed-form column stops at a = 2
+    # any integer a >= 1 runs, with its closed-form column
     code, out = run(capsys, "bands", "--lame", "a=3", "--m", "0.5")
     assert code == 0
     _, rows = parse_csv(out)
     energies = [r[0] for r in rows]
     assert len(rows) == 7 and energies == sorted(energies)
     # the edges alternate periodic, antiperiodic, antiperiodic, periodic, ...; nodes per period rise in pairs
-    assert [(r[1], r[2]) for r in rows] == [(0, 0), (1, 1), (1, 1), (0, 2), (0, 2), (1, 3), (1, 3)]
+    assert [(r[2], r[3]) for r in rows] == [(0, 0), (1, 1), (1, 1), (0, 2), (0, 2), (1, 3), (1, 3)]
     assert main(["bands", "--help"]) == 0
     usage = capsys.readouterr().out
-    assert "a=1 or a=2" not in usage and "N >= 1" in usage
+    assert "a=1 or a=2" not in usage and "N <= 2" not in usage and "N >= 1" in usage
 
 
 def test_bands_lame_closed_form_column(capsys):
-    code, out = run(capsys, "bands", "--lame", "a=2", "--m", "0.5", "--count", "3", "--format", "json")
-    env = json.loads(out)
-    assert code == 0 and env["diagnostics"]["closed_form"] is True
-    assert env["outputs"]["columns"] == ["energy", "energy_closed_form", "antiperiodic", "nodes_per_period"]
-    for energy, exact, _, _ in env["outputs"]["rows"]:
-        assert energy == pytest.approx(exact, abs=1e-9)
+    for argv in (["a=2", "--count", "3"], ["a=3"]):
+        code, out = run(capsys, "bands", "--lame", *argv, "--m", "0.5", "--format", "json")
+        env = json.loads(out)
+        assert code == 0 and env["diagnostics"]["closed_form"] is True
+        assert env["outputs"]["columns"] == ["energy", "energy_closed_form", "antiperiodic", "nodes_per_period"]
+        for energy, exact, _, _ in env["outputs"]["rows"]:
+            assert energy == pytest.approx(exact, abs=1e-9)
+
+
+def test_bands_lame_of_a_large_order_fails_in_the_hill_solve(capsys):
+    # 1201 samples cannot resolve the edges of a = 5000; the solve says so before any closed form is built
+    code = main(["bands", "--lame", "a=5000", "--count", "3"])
+    out, err = capsys.readouterr()
+    assert code == 1 and out == ""
+    assert err == (
+        "numeric failure in bands: band edge at E=34012.048692 came from the L sector "
+        "but the oscillation theorem expects 2L; widen the grid\n"
+    )
 
 
 def test_partner_well_hierarchy(capsys):

@@ -81,15 +81,7 @@ def test_lame_two_edges_and_partner(monkeypatch):
     m = 0.5
     spec = LameSpec(2, m)
     edges = lame_band_edges(spec)
-    delta = math.sqrt(1.0 - m + m * m)
-    expect = [
-        2 + 2 * m - 2 * delta,
-        1 + m,
-        1 + 4 * m,
-        4 + m,
-        2 + 2 * m + 2 * delta,
-    ]
-    assert [e.energy for e in edges] == pytest.approx(expect)
+    assert [e.energy for e in edges] == pytest.approx(textbook_edges(2, m))
 
     v1, w, v2 = lame_partner(spec)
     x = np.linspace(0.0, spec.period, 200, endpoint=False)
@@ -105,15 +97,60 @@ def test_lame_two_edges_and_partner(monkeypatch):
 
 
 def test_lame_partner_zero_mode():
-    spec = LameSpec(2, 0.5)
-    v1, w, v2 = lame_partner(spec)
-    x = np.linspace(0.0, spec.period, 100, endpoint=False)
-    psi = np.asarray(v1.psi0(x), dtype=float)
-    # psi0 solves -psi'' + V1 psi = 0: check with a finite-difference stencil
-    h = 1e-5
-    lap = (np.asarray(v1.psi0(x + h)) - 2 * psi + np.asarray(v1.psi0(x - h))) / h**2
-    resid = -lap + np.asarray(v1(x)) * psi
-    assert np.max(np.abs(resid)) < 1e-4
+    for a in (2, 3):
+        spec = LameSpec(a, 0.5)
+        v1, w, v2 = lame_partner(spec)
+        x = np.linspace(0.0, spec.period, 100, endpoint=False)
+        psi = np.asarray(v1.psi0(x), dtype=float)
+        assert np.all(psi > 0), a  # nodeless
+        # psi0 solves -psi'' + V1 psi = 0: check with a finite-difference stencil
+        h = 1e-5
+        lap = (np.asarray(v1.psi0(x + h)) - 2 * psi + np.asarray(v1.psi0(x - h))) / h**2
+        resid = -lap + np.asarray(v1(x)) * psi
+        assert np.max(np.abs(resid)) < 1e-4, a
+
+
+def textbook_edges(a, m):
+    """The a = 1 and a = 2 Lame edges (Arscott 1964, ch. IX; Whittaker & Watson sec. 23.4)."""
+    if a == 1:
+        return [m, 1.0, 1.0 + m]
+    d = math.sqrt(1.0 - m + m * m)
+    return [2 + 2 * m - 2 * d, 1 + m, 1 + 4 * m, 4 + m, 2 + 2 * m + 2 * d]
+
+
+@pytest.mark.parametrize("m", [0.3, 0.5, 0.8])
+@pytest.mark.parametrize("a", [1, 2])
+def test_lame_band_edges_are_the_textbook_formulas(a, m):
+    edges = lame_band_edges(LameSpec(a, m))
+    assert len(edges) == 2 * a + 1
+    for edge, exact in zip(edges, textbook_edges(a, m)):
+        assert abs(edge.energy - exact) <= 1e-15
+
+
+@pytest.mark.parametrize("a", range(3, 9))
+def test_lame_band_edges_of_higher_orders_match_the_hill_solve(a):
+    for m in (0.3, 0.5, 0.8):
+        spec = LameSpec(a, m)
+        closed = lame_band_edges(spec)
+        numeric = numeric_band_edges(lame_potential(spec), spec.period, 2 * a + 1, n_points=1601)
+        assert len(closed) == 2 * a + 1
+        for edge, exact in zip(numeric, closed):
+            assert abs(edge.energy - exact.energy) <= 1e-11 * abs(exact.energy), (m, edge)
+            assert (edge.period_tag, edge.nodes_per_period) == (exact.period_tag, exact.nodes_per_period)
+
+
+@pytest.mark.parametrize("a, kind", [(1, "translation"), (2, "neither"), (3, "neither"), (4, "neither")])
+def test_lame_partners_are_isospectral(a, kind):
+    spec = LameSpec(a, 0.5)
+    v1, _, v2 = lame_partner(spec)
+    e1 = numeric_band_edges(v1, spec.period, 2 * a + 1, n_points=801)
+    e2 = numeric_band_edges(v2, spec.period, 2 * a + 1, n_points=801)
+    assert e1[0].energy == pytest.approx(0.0, abs=1e-12)  # V1 is the well shifted to a zero ground edge
+    assert max(abs(x.energy - y.energy) for x, y in zip(e1, e2)) <= 1e-10
+    label, shift = classify_pair(v1, v2, spec.period)
+    assert label == kind
+    if kind == "translation":  # W(x + L/2) = -W(x) for a = 1
+        assert shift == pytest.approx(spec.period / 2, abs=1e-12)
 
 
 def test_band_edge_states_node_counts():
@@ -144,7 +181,8 @@ def test_lame_edges_states_and_nodes_match_closed_form(a, m):
     closed = lame_band_edges(spec)
     assert len(states) == len(closed)
     for (edge, pair), exact in zip(states, closed):
-        assert edge.energy == pytest.approx(exact.energy, abs=1e-10)
+        # eigh alone is off by about 1e-12 here, eps times the Hill matrix's kinetic diagonal
+        assert abs(edge.energy - exact.energy) <= 5e-14 * max(1.0, exact.energy)
         assert edge.period_tag == exact.period_tag
         assert pair.nodes == edge.nodes_per_period == exact.nodes_per_period
 
@@ -229,6 +267,9 @@ def test_lame_spec_validation():
         LameSpec(1, 1.5)
     with pytest.raises(PeriodicError):
         LameSpec(0, 0.5)
+    # p = 8.75 is no Lame well
+    with pytest.raises(PeriodicError, match="order a must be a positive integer"):
+        LameSpec(2.5, 0.5)
 
 
 def classify_by_rolls(v1, v2, period, n_shifts=1000, tol=1e-8):
